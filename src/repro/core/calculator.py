@@ -195,6 +195,9 @@ class _RunState:
     alternatives: List[Tuple[Graph, Strategy]]
     stability: StabilityMonitor
     alternatives_profiled: bool = False
+    #: The latest out-of-memory failure of any profiled strategy; raised
+    #: (with its device and sizes) when no strategy fits at all.
+    last_oom: Optional[SimulationOOMError] = None
 
 
 class StrategyCalculator:
@@ -330,7 +333,8 @@ class StrategyCalculator:
         for graph, strategy in state.alternatives:
             try:
                 result = self._profile(graph, strategy, 1)
-            except SimulationOOMError:
+            except SimulationOOMError as exc:
+                state.last_oom = exc
                 continue  # infeasible alternative: drop it
             report.simulated_profiling_seconds += sum(
                 t.makespan for t in result.traces
@@ -479,7 +483,8 @@ class StrategyCalculator:
                 report.simulated_profiling_seconds += sum(
                     t.makespan for t in result.traces
                 )
-            except SimulationOOMError:
+            except SimulationOOMError as exc:
+                state.last_oom = exc
                 current_measured = None
             record.measured_time = current_measured
             if events.enabled:
@@ -615,7 +620,8 @@ class StrategyCalculator:
             report.simulated_profiling_seconds += sum(
                 t.makespan for t in final.traces
             )
-        except SimulationOOMError:
+        except SimulationOOMError as exc:
+            state.last_oom = exc
             final_measured = None
         if events.enabled:
             events.emit(
@@ -629,9 +635,12 @@ class StrategyCalculator:
         ):
             best = (current_strategy, current_graph, final_measured)
         if best is None:
+            # Nothing fitted anywhere: every profile ended in an OOM.
+            oom = state.last_oom
+            assert oom is not None
             raise SimulationOOMError(
-                self.topology.device_names[0], 0, 0
-            )
+                oom.device, oom.needed, oom.capacity
+            ) from oom
         report.strategy, report.graph, report.measured_time = best
         if report.initial_measured_time == float("inf"):
             report.initial_measured_time = report.measured_time

@@ -433,12 +433,6 @@ class OSDPOS:
             metrics.gauge("search.finish_time_estimate").set(result.finish_time)
         return result
 
-    #: Public alias: ``search()`` is the documented entry point shared
-    #: with :meth:`DPOS.search`; ``run()`` is kept for existing callers.
-    def search(self, graph: Graph) -> OSDPOSResult:
-        """Alias of :meth:`run` (consistent with :meth:`DPOS.search`)."""
-        return self.run(graph)
-
     # ------------------------------------------------------------------
     # Telemetry (no-ops unless the obs hook carries a live event bus)
     # ------------------------------------------------------------------

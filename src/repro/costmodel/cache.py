@@ -54,11 +54,13 @@ class CostCache:
         ]
         # name-keyed memos
         self._time: Dict[Tuple[str, str], float] = {}
+        self._times: Dict[str, Tuple[float, ...]] = {}
         self._weight: Dict[str, float] = {}
         self._min_weight: Dict[str, float] = {}
         self._persistent: Dict[str, int] = {}
         self._preds: Dict[str, List[Operation]] = {}
         self._succs: Dict[str, List[Operation]] = {}
+        self._in_edges: Dict[str, List[Tuple[str, int]]] = {}
         # edge-keyed memos, with a per-name index for invalidation
         self._edge_bytes: Dict[Tuple[str, str], int] = {}
         self._edge_comm: Dict[Tuple[str, str], float] = {}
@@ -66,6 +68,9 @@ class CostCache:
         # graph-independent memos (the models are frozen during a search)
         self._comm_by_bytes: Dict[int, float] = {}
         self._pair_time: Dict[Tuple[str, str, int], float] = {}
+        self._transfer: Dict[Tuple[int, int], Tuple[float, ...]] = {}
+        # canonical topological order, kept until the next invalidate()
+        self._order: Optional[Tuple[Operation, ...]] = None
         # observability: misses are counted unconditionally (the increment
         # is noise next to the cost-model call each miss already makes);
         # per-lookup counting is opt-in via enable_stats() so the default
@@ -85,6 +90,15 @@ class CostCache:
         if value is None:
             self.misses += 1
             value = self._time[key] = self.computation.time(op, device)
+        return value
+
+    def times(self, op: Operation) -> Tuple[float, ...]:
+        """``time(op, d)`` for every device, in ``devices`` order."""
+        value = self._times.get(op.name)
+        if value is None:
+            value = self._times[op.name] = tuple(
+                self.time(op, d) for d in self.devices
+            )
         return value
 
     def weight(self, op: Operation) -> float:
@@ -155,6 +169,24 @@ class CostCache:
             )
         return value
 
+    def transfer_times(self, src: int, num_bytes: int) -> Tuple[float, ...]:
+        """Transfer time of ``num_bytes`` from ``devices[src]`` to every
+        device, in ``devices`` order.
+
+        The entry for ``src`` itself is the int ``0``: adding it leaves a
+        finish time unchanged, type included, exactly as not adding
+        anything for a same-device edge.
+        """
+        key = (src, num_bytes)
+        value = self._transfer.get(key)
+        if value is None:
+            source = self.devices[src]
+            value = self._transfer[key] = tuple(
+                0 if dst == source else self.pair_time(source, dst, num_bytes)
+                for dst in self.devices
+            )
+        return value
+
     # ------------------------------------------------------------------
     # Adjacency
     # ------------------------------------------------------------------
@@ -172,11 +204,24 @@ class CostCache:
             value = self._succs[op.name] = self.graph.successors(op)
         return value
 
-    def topological_order(self) -> List[Operation]:
+    def in_edges(self, op: Operation) -> List[Tuple[str, int]]:
+        """(predecessor name, edge bytes) of every predecessor of ``op``."""
+        value = self._in_edges.get(op.name)
+        if value is None:
+            value = self._in_edges[op.name] = [
+                (pred.name, self.edge_bytes(pred, op))
+                for pred in self.predecessors(op)
+            ]
+        return value
+
+    def topological_order(self) -> Tuple[Operation, ...]:
         """Canonical (name-tie-broken) Kahn order via cached adjacency.
 
-        Matches ``graph.topological_order(canonical=True)`` exactly.
+        Matches ``graph.topological_order(canonical=True)`` exactly.  The
+        order is kept until the next :meth:`invalidate`.
         """
+        if self._order is not None:
+            return self._order
         indegree: Dict[str, int] = {}
         for op in self.graph:
             indegree[op.name] = len(self.predecessors(op))
@@ -195,7 +240,8 @@ class CostCache:
                 f"graph {self.graph.name!r} contains a cycle; FastT only "
                 "handles DAGs — unroll while-loops before scheduling"
             )
-        return order
+        self._order = tuple(order)
+        return self._order
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -203,18 +249,21 @@ class CostCache:
     def invalidate(self, names: Optional[Iterable[str]] = None) -> None:
         """Drop every memo involving ``names`` (or everything if None).
 
-        The graph-independent memos (transfer time by byte count) survive:
+        The graph-independent memos (transfer times by byte count) survive:
         the communication model is frozen during a search, so those values
         cannot go stale.
         """
         self.invalidations += 1
+        self._order = None
         if names is None:
             self._time.clear()
+            self._times.clear()
             self._weight.clear()
             self._min_weight.clear()
             self._persistent.clear()
             self._preds.clear()
             self._succs.clear()
+            self._in_edges.clear()
             self._edge_bytes.clear()
             self._edge_comm.clear()
             self._edge_index.clear()
@@ -222,14 +271,17 @@ class CostCache:
         for name in names:
             for device in self.devices:
                 self._time.pop((name, device), None)
+            self._times.pop(name, None)
             self._weight.pop(name, None)
             self._min_weight.pop(name, None)
             self._persistent.pop(name, None)
             self._preds.pop(name, None)
             self._succs.pop(name, None)
+            self._in_edges.pop(name, None)
             for key in self._edge_index.pop(name, ()):
                 self._edge_bytes.pop(key, None)
                 self._edge_comm.pop(key, None)
+                self._in_edges.pop(key[1], None)
 
     # ------------------------------------------------------------------
     # Observability
@@ -246,8 +298,8 @@ class CostCache:
             return
         self.stats_enabled = True
         for name in (
-            "time", "weight", "min_weight", "edge_bytes", "edge_comm",
-            "predecessors", "successors",
+            "time", "times", "weight", "min_weight", "edge_bytes", "edge_comm",
+            "predecessors", "successors", "in_edges",
         ):
             inner = getattr(self, name)
 
@@ -277,11 +329,13 @@ class CostCache:
         """Total live memo entries (introspection/tests)."""
         return (
             len(self._time)
+            + len(self._times)
             + len(self._weight)
             + len(self._min_weight)
             + len(self._persistent)
             + len(self._preds)
             + len(self._succs)
+            + len(self._in_edges)
             + len(self._edge_bytes)
             + len(self._edge_comm)
         )

@@ -189,7 +189,15 @@ def normalize_request(request: Dict[str, object]) -> Dict[str, object]:
         )
     document: Dict[str, object] = {"model": model, "topology": topology}
     if request.get("global_batch") is not None:
-        document["global_batch"] = int(request["global_batch"])  # type: ignore[arg-type]
+        batch = int(request["global_batch"])  # type: ignore[arg-type]
+        if batch <= 0:
+            # repro.optimize rejects the same input (a ShapeError on the
+            # batch dimension); say so before it is cached under its key.
+            raise RequestError(
+                f"'global_batch' must be positive, got {batch}: a "
+                "non-positive batch dimension"
+            )
+        document["global_batch"] = batch
     config = request.get("config") or {}
     if not isinstance(config, dict):
         raise RequestError("'config' must be an object of FastTConfig overrides")
@@ -524,7 +532,10 @@ class StrategyService:
         from ..models import get_model
 
         spec = get_model(str(document["model"]))
-        batch = int(document.get("global_batch") or spec.global_batch)
+        # Absent means the model default (normalize_request rejects <= 0).
+        batch = int(
+            document.get("global_batch", spec.global_batch)  # type: ignore[arg-type]
+        )
         session = FastTSession(
             spec.builder, topology, global_batch=batch,
             config=config, model_name=spec.name,

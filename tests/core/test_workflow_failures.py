@@ -7,10 +7,13 @@ strategy (the paper's rollback guarantee).
 
 import pytest
 
+import repro
+from repro.cluster import cluster_for
 from repro.core import FastTConfig, SearchOptions, Strategy, StrategyCalculator
 from repro.core.calculator import CalculationReport
 from repro.graph import build_data_parallel_training_graph, data_parallel_placement
 from repro.hardware import PerfModel
+from repro.sim import SimulationOOMError
 
 from tests.util import build_mlp
 
@@ -96,6 +99,23 @@ class TestOOMHandling:
         assert calculator.alternative_inputs == [(big_graph, bad_strategy)]
         assert report.strategy.label != "doomed"
         assert report.measured_time < float("inf")
+
+    def test_nothing_fits_raises_the_real_oom(self):
+        """When no strategy fits, the error names the device and sizes of
+        the last real out-of-memory failure, not an empty placeholder."""
+
+        def huge(graph, prefix, batch):
+            return build_mlp(graph, prefix, batch, hidden=49152, layers=3)
+
+        with pytest.raises(SimulationOOMError) as info:
+            repro.optimize(
+                huge, "pcie:2", global_batch=4096, model_name="huge",
+                run_dir=False,
+            )
+        oom = info.value
+        assert oom.needed > oom.capacity > 0
+        assert oom.device in cluster_for(2).device_names
+        assert isinstance(oom.__cause__, SimulationOOMError)
 
 
 class TestReportAccounting:

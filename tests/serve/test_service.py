@@ -4,6 +4,8 @@ import threading
 
 import pytest
 
+import repro
+from repro.graph import ShapeError
 from repro.serve import (
     RequestError,
     StrategyService,
@@ -40,6 +42,25 @@ class TestNormalize:
             normalize_request(_request(config={"not_a_knob": 1}))
         with pytest.raises(RequestError):
             normalize_request(_request(config={"search": {"bogus": 1}}))
+
+    @pytest.mark.parametrize("batch", [0, -4])
+    def test_non_positive_batch_rejected_like_optimize(self, tmp_path, batch):
+        with pytest.raises(ShapeError, match="non-positive"):
+            repro.optimize(
+                "lenet", "pcie:2", global_batch=batch, run_dir=False
+            )
+        with pytest.raises(RequestError, match="non-positive"):
+            normalize_request(_request(global_batch=batch))
+        service = _service(tmp_path)
+        with pytest.raises(RequestError, match="non-positive"):
+            service.submit(_request(global_batch=batch))
+        assert service.stats.searches == 0
+
+    def test_absent_or_null_batch_uses_model_default(self):
+        assert "global_batch" not in normalize_request(_request())
+        assert "global_batch" not in normalize_request(
+            _request(global_batch=None)
+        )
 
     def test_canonical_form_is_order_insensitive(self):
         a = normalize_request(_request())
