@@ -6,6 +6,8 @@ process, concurrently, with three progressively cheaper paths:
 
 1. **Cache hit** — the request's combined config fingerprint matches a
    :class:`~repro.serve.store.StoredStrategy`; answer without searching.
+   A request answered before resolves straight to that fingerprint, so
+   a repeat builds no session either.
 2. **Warm start** — a stored entry for the same cluster/options is a
    small graph edit away (:mod:`repro.graph.delta`); seed OS-DPOS from
    its split list (:class:`~repro.core.WarmStartSeed`) and let the
@@ -49,6 +51,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import math
 import os
 import threading
 import time
@@ -91,7 +94,7 @@ METRIC_HELP = {
     "serve.inflight": "Searches currently in flight",
     "serve.request.latency": "End-to-end request latency",
     "serve.search": "Strategy-search wall-clock per request",
-    "serve.store.lookup": "Strategy-store lookup time per request",
+    "serve.store.lookup": "Strategy-store lookup time per store read",
     "serve.coalesce.wait": "Time followers spent waiting on their leader",
     "serve.queue.wait": "Time requests waited for a worker thread",
 }
@@ -231,6 +234,33 @@ def _build_config(base: FastTConfig, overrides: Dict[str, object]) -> FastTConfi
     return config
 
 
+def request_deadline(
+    request: object, default: Optional[float]
+) -> Optional[float]:
+    """A request's deadline in seconds: its ``timeout`` key, or ``default``.
+
+    Absent or null means ``default``.  Anything else must be a finite
+    number of seconds greater than zero; a negative, zero, NaN,
+    infinite or unparsable value raises :class:`RequestError`.  Both
+    :meth:`StrategyService.submit` and the TCP front-end read the
+    deadline through here, so they agree on every input.
+    """
+    raw = request.get("timeout") if isinstance(request, dict) else None
+    if raw is None:
+        return default
+    timeout = math.nan
+    if not isinstance(raw, bool):
+        try:
+            timeout = float(raw)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            pass
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise RequestError(
+            f"'timeout' must be a finite number of seconds > 0, got {raw!r}"
+        )
+    return timeout
+
+
 @dataclass
 class ServiceStats:
     """Counter snapshot (all monotonic since service start)."""
@@ -284,6 +314,16 @@ class StrategyService:
             show`` answers "which request produced this run").
         runs_root: Registry root for ``record_runs`` (default:
             ``$REPRO_RUNS_DIR`` or ``~/.repro/runs``).
+
+    The service remembers, per answered request, the store key of the
+    answer it got: the request key (the normalized request's
+    fingerprint) determines the combined config fingerprint once the
+    base ``config`` is fixed, so a repeat skips session build and
+    fingerprinting and reads the store directly.  That table is valid
+    only for the base config given at construction; do not reassign
+    ``config`` afterwards.  An entry whose answer has left the store is
+    dropped and the request takes the full path, so the table never
+    yields an answer the full path would not.
     """
 
     def __init__(
@@ -329,6 +369,10 @@ class StrategyService:
         #: the slow-request watchdog reads it.
         self._inflight_started: Dict[str, float] = {}
         self._inflight_lock = threading.Lock()
+        #: request_key -> store key of the answer that request got; one
+        #: short string pair per distinct answered request.
+        self._resolved: Dict[str, str] = {}
+        self._resolved_lock = threading.Lock()
         self._started = False
         self._shutting_down = False
         if self.events.enabled:
@@ -380,30 +424,20 @@ class StrategyService:
         ``request_id`` (or a ``request_id`` key in the request dict; the
         client mints one by default) correlates events, log records, the
         access log, and — with ``record_runs`` — the run manifest.  A
-        ``timeout`` key (or the service-wide ``request_timeout``) bounds
-        how long a *coalesced follower* waits before failing with
-        :class:`ServeTimeout`.  ``queued_at`` is a ``time.monotonic()``
-        stamp taken when the request was accepted (the async front-end
-        passes it so worker-pool queueing shows up in
-        ``serve.queue.wait``).  Neither ``request_id`` nor ``timeout``
+        ``timeout`` key (or the service-wide ``request_timeout``; see
+        :func:`request_deadline`) bounds how long a *coalesced follower*
+        waits before failing with :class:`ServeTimeout`.  ``queued_at``
+        is a ``time.monotonic()`` stamp taken when the request was
+        accepted (the async front-end passes it so worker-pool queueing
+        shows up in ``serve.queue.wait``).  Neither ``request_id`` nor ``timeout``
         participates in the coalescing identity.
         """
         start = time.monotonic()
-        raw_timeout: object = None
         if isinstance(request, dict):
             if not request_id and request.get("request_id"):
                 request_id = str(request["request_id"])
-            raw_timeout = request.get("timeout")
         request_id = request_id or new_request_id()
-        if raw_timeout is None:
-            timeout = self.request_timeout
-        else:
-            try:
-                timeout = float(raw_timeout)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                raise RequestError(
-                    f"'timeout' must be a number, got {raw_timeout!r}"
-                )
+        timeout = request_deadline(request, self.request_timeout)
         queue_seconds = 0.0
         if queued_at is not None:
             queue_seconds = max(0.0, start - queued_at)
@@ -516,44 +550,42 @@ class StrategyService:
         request_key: str,
         request_id: str,
     ) -> Dict[str, object]:
-        from ..obs.runs import config_fingerprints
-
         if self.events.enabled:
             self.events.emit(
                 "serve.request", request=request_key,
                 request_id=request_id, model=document["model"],
             )
-        config = _build_config(self.config, document.get("config") or {})
-        topology = topology_from(document["topology"])
-        # The request's problem identity needs the built input graph;
-        # session construction (graph building + placement) is cheap
-        # next to search and exactly matches what a cold run would do.
-        from ..core.session import FastTSession
-        from ..models import get_model
+        cached = self._resolved_entry(request_key)
+        if cached is None:
+            from ..core.session import FastTSession
+            from ..models import get_model
+            from ..obs.runs import config_fingerprints
 
-        spec = get_model(str(document["model"]))
-        # Absent means the model default (normalize_request rejects <= 0).
-        batch = int(
-            document.get("global_batch", spec.global_batch)  # type: ignore[arg-type]
-        )
-        session = FastTSession(
-            spec.builder, topology, global_batch=batch,
-            config=config, model_name=spec.name,
-        )
-        fingerprints = config_fingerprints(session.input_graph, topology, config)
-        key = fingerprints["combined"]
-
-        lookup_start = time.monotonic()
-        cached = self.store.get(key)
-        self._observe(
-            "serve.store.lookup", time.monotonic() - lookup_start,
-            result="hit" if cached is not None else "miss",
-        )
+            config = _build_config(self.config, document.get("config") or {})
+            topology = topology_from(document["topology"])
+            # The request's problem identity needs the built input graph;
+            # session construction (graph building + placement) is cheap
+            # next to search and exactly matches what a cold run would do.
+            spec = get_model(str(document["model"]))
+            # Absent means the model default (normalize_request rejects <= 0).
+            batch = int(document.get(  # type: ignore[arg-type]
+                "global_batch", spec.global_batch
+            ))
+            session = FastTSession(
+                spec.builder, topology, global_batch=batch,
+                config=config, model_name=spec.name,
+            )
+            fingerprints = config_fingerprints(
+                session.input_graph, topology, config
+            )
+            cached = self._lookup(fingerprints["combined"])
         if cached is not None:
+            with self._resolved_lock:
+                self._resolved[request_key] = cached.key
             self._bump("hits")
             if self.events.enabled:
                 self.events.emit(
-                    "serve.hit", request=request_key, key=key,
+                    "serve.hit", request=request_key, key=cached.key,
                     request_id=request_id,
                 )
             return self._respond(
@@ -561,6 +593,7 @@ class StrategyService:
                 request_id=request_id,
             )
 
+        key = fingerprints["combined"]
         self._bump("misses")
         if self.events.enabled:
             self.events.emit(
@@ -643,6 +676,8 @@ class StrategyService:
             run_id=run_id or None,
         )
         self.store.put(entry)
+        with self._resolved_lock:
+            self._resolved[request_key] = key
         source = "warm" if warm_start is not None and not fallbacks else "search"
         if self.events.enabled:
             self.events.emit(
@@ -654,6 +689,34 @@ class StrategyService:
             entry, source=source, request_key=request_key,
             request_id=request_id, search_seconds=search_seconds,
         )
+
+    def _lookup(self, key: str) -> Optional[StoredStrategy]:
+        lookup_start = time.monotonic()
+        entry = self.store.get(key)
+        self._observe(
+            "serve.store.lookup", time.monotonic() - lookup_start,
+            result="hit" if entry is not None else "miss",
+        )
+        return entry
+
+    def _resolved_entry(self, request_key: str) -> Optional[StoredStrategy]:
+        """The stored answer this request key got before, if still stored.
+
+        A key whose entry has left the store (file deleted, or evicted
+        from a memory-only store) is stale: drop it, unless another
+        thread has re-resolved it meanwhile, and let the caller take
+        the full path.
+        """
+        with self._resolved_lock:
+            key = self._resolved.get(request_key)
+        if key is None:
+            return None
+        entry = self._lookup(key)
+        if entry is None:
+            with self._resolved_lock:
+                if self._resolved.get(request_key) == key:
+                    del self._resolved[request_key]
+        return entry
 
     def _begin_run(self, request_id: str):
         """Mint a run-registry manifest for one executed search.
@@ -845,6 +908,9 @@ class StrategyService:
 #: wedged *leader* (whose search thread cannot be cancelled).
 _BACKSTOP_GRACE = 30.0
 
+#: Longest protocol line (bytes, newline included) the front-end reads.
+LINE_LIMIT = 2 ** 16
+
 
 async def handle_connection(
     service: StrategyService,
@@ -856,14 +922,29 @@ async def handle_connection(
     loop = asyncio.get_running_loop()
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                # The line overran the reader's limit.  The rest of it
+                # may still be on the wire, so the stream is no longer
+                # aligned to lines: answer once and close.
+                response: Dict[str, object] = {
+                    "status": "error",
+                    "error": f"request line exceeds the {LINE_LIMIT}-byte "
+                             "line limit; closing the connection",
+                }
+                writer.write(json.dumps(response).encode() + b"\n")
+                await writer.drain()
+                break
             if not line:
                 break
             try:
                 message = json.loads(line)
+                if not isinstance(message, dict):
+                    raise RequestError("message must be a JSON object")
                 op = message.get("op", "optimize")
                 if op == "ping":
-                    response: Dict[str, object] = {"status": "ok", "pong": True}
+                    response = {"status": "ok", "pong": True}
                 elif op == "stats":
                     response = service.stats_json()
                 elif op == "status":
@@ -887,17 +968,9 @@ async def handle_connection(
                         service.submit, request,
                         queued_at=time.monotonic(),
                     )
-                    deadline = None
-                    raw = request.get("timeout") if isinstance(
-                        request, dict
-                    ) else None
-                    if raw is not None:
-                        try:
-                            deadline = float(raw)
-                        except (TypeError, ValueError):
-                            deadline = None
-                    elif service.request_timeout is not None:
-                        deadline = service.request_timeout
+                    deadline = request_deadline(
+                        request, service.request_timeout
+                    )
                     task = loop.run_in_executor(pool, call)
                     if deadline is None:
                         response = await task
@@ -921,6 +994,9 @@ async def handle_connection(
                     "request_id": exc.request_id,
                 }
             except asyncio.TimeoutError:
+                # The client is told "timeout"; count it so the metrics
+                # agree.
+                service._bump("timeouts")
                 response = {
                     "status": "error", "timeout": True,
                     "error": "request deadline exceeded "
@@ -1048,7 +1124,7 @@ async def serve_forever(
     service._started = True
     server = await asyncio.start_server(
         lambda r, w: handle_connection(service, pool, r, w, shutdown),
-        host, port,
+        host, port, limit=LINE_LIMIT,
     )
     metrics_server = None
     if metrics_port is not None:

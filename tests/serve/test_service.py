@@ -1,11 +1,14 @@
 """StrategyService: hit / coalesce / warm-start semantics, counter-verified."""
 
+import os
 import threading
 
 import pytest
 
 import repro
+from repro.core.session import FastTSession
 from repro.graph import ShapeError
+from repro.models import get_model
 from repro.serve import (
     RequestError,
     StrategyService,
@@ -99,6 +102,125 @@ class TestCachePath:
         other = service.submit(_request(global_batch=128))
         assert other["source"] != "cache"
         assert service.stats.searches == 2
+
+
+@pytest.fixture
+def session_builds(monkeypatch):
+    """Records the ``global_batch`` of every FastTSession built."""
+    builds = []
+    original = FastTSession.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(kwargs.get("global_batch"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FastTSession, "__init__", counting)
+    return builds
+
+
+def _without_request_id(response):
+    return {k: v for k, v in response.items() if k != "request_id"}
+
+
+class TestResolution:
+    """A repeat resolves its request key straight to the stored answer."""
+
+    def test_repeat_equals_the_full_path_answer(self, tmp_path, session_builds):
+        service = _service(tmp_path)
+        service.submit(_request())
+        repeat = service.submit(_request())
+        assert repeat["source"] == "cache"
+        assert len(session_builds) == 1  # the repeat took the table
+
+        # A fresh service over the same store has no table: full path.
+        full = _service(tmp_path).submit(_request())
+        assert len(session_builds) == 2
+        assert full["source"] == "cache"
+        assert _without_request_id(repeat) == _without_request_id(full)
+
+    def test_repeat_builds_no_session(self, tmp_path, session_builds):
+        service = _service(tmp_path)
+        hits = []
+        service.events.subscribe(
+            lambda event: hits.append(event) if event.kind == "serve.hit"
+            else None
+        )
+        first = service.submit(_request())
+        assert len(session_builds) == 1
+        for _ in range(3):
+            repeat = service.submit(_request())
+            assert repeat["source"] == "cache"
+            assert repeat["key"] == first["key"]
+        assert len(session_builds) == 1
+        # The fast path keeps the hit's counter, event and observation.
+        assert service.stats.hits == 3
+        assert [event.data["key"] for event in hits] == [first["key"]] * 3
+        snap = service.metrics.snapshot()
+        assert snap["serve.store.lookup{result=hit}.count"] == 3
+
+    def test_stale_entry_falls_through_and_re_resolves(
+        self, tmp_path, session_builds
+    ):
+        service = _service(tmp_path)
+        first = service.submit(_request())
+        os.remove(tmp_path / "strategies" / f"{first['key']}.json")
+        service.store.clear_memory()
+        searches, misses = service.stats.searches, service.stats.misses
+
+        again = service.submit(_request())
+        assert again["source"] == "search"
+        assert again["key"] == first["key"]
+        assert service.stats.searches == searches + 1
+        assert service.stats.misses == misses + 1
+
+        builds = len(session_builds)
+        third = service.submit(_request())
+        assert third["source"] == "cache"
+        assert third["key"] == first["key"]
+        assert len(session_builds) == builds  # re-resolved
+
+    def test_wrong_entry_never_answers(self, tmp_path):
+        service = _service(tmp_path)
+        first = service.submit(_request())
+        other = service.submit(_request(global_batch=64))
+        request_key = first["request"]
+        # Point the request at a key the store does not hold: the lookup
+        # misses and the full path answers with the request's own entry.
+        service._resolved[request_key] = "0" * 40
+        again = service.submit(_request())
+        assert again["source"] == "cache"
+        assert again["key"] == first["key"] != other["key"]
+        assert service._resolved[request_key] == first["key"]
+
+    def test_distinct_requests_keep_distinct_entries(
+        self, tmp_path, session_builds
+    ):
+        service = _service(tmp_path)
+        default_batch = get_model("lenet").global_batch
+        variants = {
+            "absent": _request(),
+            "explicit": _request(global_batch=default_batch),
+            "b64": _request(global_batch=64),
+            "b128": _request(global_batch=128),
+        }
+        first = {name: service.submit(req) for name, req in variants.items()}
+        # Explicit default is the same problem: a full-path store hit.
+        assert first["explicit"]["source"] == "cache"
+        assert first["explicit"]["key"] == first["absent"]["key"]
+        keys = {first[name]["key"] for name in ("absent", "b64", "b128")}
+        assert len(keys) == 3
+        assert len(service._resolved) == 4  # one per request document
+
+        builds = len(session_builds)
+        for name, request in variants.items():
+            repeat = service.submit(request)
+            assert repeat["source"] == "cache"
+            for field in ("request", "key", "global_batch", "strategy"):
+                assert repeat[field] == first[name][field]
+        assert len(session_builds) == builds
+        assert first["b64"]["global_batch"] == 64
+        assert first["b128"]["global_batch"] == 128
+        assert first["absent"]["global_batch"] == default_batch
 
 
 class TestCoalescing:

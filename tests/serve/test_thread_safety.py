@@ -2,16 +2,19 @@
 
 The strategy service runs N searches in one process concurrently; the
 pieces they may share — a MetricsRegistry, an EventBus, a profiled
-CommunicationCostModel — must tolerate that without losing updates or
-corrupting their lazy caches.
+CommunicationCostModel, the service's request-resolution table — must
+tolerate that without losing updates or corrupting their lazy caches.
 """
 
+import os
 import pickle
+import sys
 import threading
 
 from repro.costmodel import CommunicationCostModel
 from repro.obs import EventBus
 from repro.obs.metrics import MetricsRegistry
+from repro.serve import StrategyService, StrategyStore
 
 
 def _hammer(n_threads, fn):
@@ -29,7 +32,8 @@ def _hammer(n_threads, fn):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(300)
+        assert not t.is_alive()
     assert not errors
 
 
@@ -106,3 +110,63 @@ class TestCommunicationModelUnderContention:
             "/gpu:0", "/gpu:1", 2048
         )
         clone.observe("/gpu:0", "/gpu:1", 4096, 2e-5)  # lock was restored
+
+
+class TestRequestResolutionUnderContention:
+    FAST_CONFIG = {
+        "profiling_steps": 1, "max_rounds": 2, "min_rounds": 1,
+        "measure_steps": 1, "search": {"max_candidate_ops": 2},
+    }
+
+    def _request(self, batch):
+        return {"model": "lenet", "topology": "pcie:2",
+                "global_batch": batch, "config": self.FAST_CONFIG}
+
+    def test_repeats_racing_fresh_puts_get_their_own_answers(self):
+        # A memory-only store smaller than the problem set: fresh puts
+        # evict entries the table still resolves to, so repeats race
+        # stale drops and re-resolution as well as puts.
+        service = StrategyService(
+            store=StrategyStore(persist=False, capacity=3)
+        )
+        batches = [32, 48, 64, 96, 128, 160]
+        # Each problem's key, answered serially by a separate service.
+        reference = StrategyService(store=StrategyStore(persist=False))
+        expected = {
+            batch: reference.submit(self._request(batch))["key"]
+            for batch in batches
+        }
+        assert len(set(expected.values())) == len(batches)
+        for batch in batches[:3]:
+            service.submit(self._request(batch))
+
+        answers = []
+        lock = threading.Lock()
+
+        def worker(i):
+            for j in range(len(batches)):
+                batch = batches[(i + j) % len(batches)]
+                response = service.submit(self._request(batch))
+                with lock:
+                    answers.append((batch, response["key"]))
+
+        n_threads = 2 * (os.cpu_count() or 1) + 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _hammer(n_threads, worker)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert len(answers) == n_threads * len(batches)
+        assert all(key == expected[batch] for batch, key in answers)
+        assert service.stats.hits > 0
+        # Whatever the interleaving, every surviving table entry points
+        # at its own request's answer.
+        by_request = {
+            service.submit(self._request(batch))["request"]: expected[batch]
+            for batch in batches
+        }
+        with service._resolved_lock:
+            resolved = dict(service._resolved)
+        assert resolved == by_request
