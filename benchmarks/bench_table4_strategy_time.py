@@ -16,7 +16,7 @@ import time
 from conftest import export_rows, label
 
 from repro.cluster import cluster_for
-from repro.core import DPOS, OSDPOS
+from repro.core import DPOS, OSDPOS, SearchOptions
 from repro.costmodel import OracleCommunicationModel, OracleComputationModel
 from repro.experiments import trial
 from repro.experiments.paper_reference import TABLE4_STRATEGY_TIME
@@ -25,19 +25,21 @@ from repro.graph import build_single_device_training_graph
 from repro.hardware import PerfModel
 from repro.models import get_model, model_names
 
+from tests.oracles.osdpos_reference import reference_osdpos
+
 GPU_COUNTS = (2, 4, 8)
 
-# Head-to-head of the incremental search engine against the retained
-# naive reference path (graph.copy() per candidate).  The big graphs are
-# where sublinear candidate evaluation pays off; the floor is set well
-# under the typical 5-7x so timer noise on loaded CI boxes cannot flake
-# the benchmark.
+# Head-to-head of the incremental search engine against the naive
+# reference search in tests/oracles (graph.copy() per candidate).  The
+# big graphs are where sublinear candidate evaluation pays off; the floor
+# is set well under the typical 5-7x so timer noise on loaded CI boxes
+# cannot flake the benchmark.
 SEARCH_ENGINE_MODELS = ("transformer", "bert_large")
 SEARCH_ENGINE_GPUS = 8
 SEARCH_ENGINE_MIN_SPEEDUP = 3.0
 
 
-def _timed_search(model_name, num_gpus, **kwargs):
+def _timed_search(model_name, num_gpus, naive=False):
     topo = cluster_for(num_gpus)
     perf = PerfModel(topo)
     dpos = DPOS(topo, OracleComputationModel(perf), OracleCommunicationModel(perf))
@@ -45,9 +47,12 @@ def _timed_search(model_name, num_gpus, **kwargs):
     graph = build_single_device_training_graph(
         model.builder, model.global_batch, name=f"{model_name}_bench"
     )
-    search = OSDPOS(dpos, max_candidate_ops=4, **kwargs)
+    options = SearchOptions(max_candidate_ops=4)
     start = time.perf_counter()
-    result = search.run(graph)
+    if naive:
+        result = reference_osdpos(dpos, graph, options)
+    else:
+        result = OSDPOS(dpos, options=options).run(graph)
     return time.perf_counter() - start, result
 
 

@@ -277,10 +277,11 @@ def two_tier_spec(
     inter: Sequence,
     name: str = "two-tier",
 ) -> ClusterSpec:
-    """The legacy two-tier world, expressed as a link graph.
-
-    Reproduces the old ``Topology(devices, intra_server=, inter_server=)``
-    semantics *exactly*, channel strings included:
+    """The two-tier world (one intra- and one inter-server link kind)
+    as a link graph; ``Topology(devices)`` uses it with the NVLink and
+    Ethernet tiers.  ``intra``/``inter`` are ``(kind, bandwidth,
+    latency)`` tuples.  Channel strings follow the original two-tier
+    model exactly:
 
     * each device's intra-server traffic leaves through one egress
       channel ``"{kind}:{device}->*"`` (a hub-and-spoke per server: a

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import time as _time
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -50,77 +49,21 @@ class FastTConfig:
 
     Attributes mirror the paper's system knobs; defaults follow Sec. 4/6.
     The strategy-search knobs live in ``search`` (a
-    :class:`~repro.core.os_dpos.SearchOptions`); the old flat spellings
-    (``enable_splitting=``, ``split_counts=``, ``max_candidate_ops=``,
-    ``naive_search=``, ``search_workers=``) still work but emit
-    :class:`DeprecationWarning`.
+    :class:`~repro.core.os_dpos.SearchOptions`), the one place they are
+    configured.
     """
 
     profiling_steps: int = 2
     max_rounds: int = 5
     min_rounds: int = 2
     stability_tolerance: float = 0.08
-    #: Knobs of the OS-DPOS strategy search (splitting, pruning, workers).
+    #: Knobs of the OS-DPOS strategy search (splitting, workers, coarsening).
     search: SearchOptions = field(default_factory=SearchOptions)
     memory_fraction: float = 0.9
     restart_overhead_seconds: float = 5.0
     enable_order_enforcement: bool = True
     enable_rollback: bool = True
     measure_steps: int = 3
-
-
-#: Old flat FastTConfig knob -> SearchOptions field it moved to.
-_DEPRECATED_SEARCH_KNOBS = {
-    "enable_splitting": "enable_splitting",
-    "split_counts": "split_counts",
-    "max_candidate_ops": "max_candidate_ops",
-    "naive_search": "naive",
-    "search_workers": "workers",
-}
-
-
-def _warn_search_knob(old: str, new: str) -> None:
-    warnings.warn(
-        f"FastTConfig.{old} is deprecated; use "
-        f"FastTConfig(search=SearchOptions({new}=...)) / config.search.{new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-_config_dataclass_init = FastTConfig.__init__
-
-
-def _config_init(self, *args, **kwargs):
-    moved = {}
-    for old, new in _DEPRECATED_SEARCH_KNOBS.items():
-        if old in kwargs:
-            _warn_search_knob(old, new)
-            moved[new] = kwargs.pop(old)
-    _config_dataclass_init(self, *args, **kwargs)
-    for new, value in moved.items():
-        setattr(self.search, new, value)
-
-
-_config_init.__wrapped__ = _config_dataclass_init  # type: ignore[attr-defined]
-FastTConfig.__init__ = _config_init  # type: ignore[assignment]
-
-
-def _deprecated_search_alias(old: str, new: str) -> property:
-    def getter(self):
-        _warn_search_knob(old, new)
-        return getattr(self.search, new)
-
-    def setter(self, value):
-        _warn_search_knob(old, new)
-        setattr(self.search, new, value)
-
-    return property(getter, setter, doc=f"Deprecated alias of search.{new}.")
-
-
-for _old, _new in _DEPRECATED_SEARCH_KNOBS.items():
-    setattr(FastTConfig, _old, _deprecated_search_alias(_old, _new))
-del _old, _new
 
 
 @dataclass
@@ -244,7 +187,7 @@ class StrategyCalculator:
             # through the relative compute scales, and the communication
             # model prices unprofiled pairs from the topology's route
             # times instead of zero.  Bound methods pickle with their
-            # instance, which the search_workers process pool requires.
+            # instance, which the search.workers process pool requires.
             context = SearchContext.adopt(
                 topology, perf_model, config or FastTConfig(), obs
             )

@@ -8,20 +8,16 @@ committed only if the best resulting DPOS finish time beats the current
 one; the first non-improving operation stops the search (the paper's
 early exit).
 
-Candidate evaluation comes in two flavours that return bit-identical
-strategies:
-
-* **naive** (``naive=True``): every candidate deep-copies the whole
-  graph and reruns DPOS cold — the reference implementation, O(graph
-  size) per candidate before DPOS even starts.
-* **incremental** (default): one working graph is mutated in place
-  through :class:`~repro.graph.SplitTransaction` (apply, evaluate,
-  undo — all O(split size)), cost and adjacency lookups are served from
-  a :class:`~repro.costmodel.CostCache` invalidated only for the ops a
-  split touched, and (with ``prune=True``) a placement-independent
-  lower bound skips the DPOS rerun for candidates that provably cannot
-  beat the incumbent finish time.  ``workers=N`` additionally fans the
-  surviving candidates of each op out to worker processes.
+Candidates are evaluated incrementally: one working graph is mutated in
+place through :class:`~repro.graph.SplitTransaction` (apply, evaluate,
+undo — all O(split size)), cost and adjacency lookups are served from a
+:class:`~repro.costmodel.CostCache` invalidated only for the ops a split
+touched, and a placement-independent lower bound skips the DPOS rerun
+for candidates that provably cannot beat the incumbent finish time.
+``workers=N`` additionally fans the surviving candidates of each op out
+to worker processes.  None of this changes the strategy: the
+equivalence suite pins it byte for byte to a copy-per-candidate
+reference search (``tests/oracles/osdpos_reference.py``).
 """
 
 from __future__ import annotations
@@ -32,12 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..cluster import Topology
-from ..costmodel import (
-    CommunicationCostModel,
-    ComputationCostModel,
-    CostCache,
-)
+from ..costmodel import CostCache
 from ..graph import Graph, Operation
 from ..graph.coarsen import CoarsePlan, SuperComputationModel, contract_graph
 from ..graph.rewrite import (
@@ -45,17 +36,12 @@ from ..graph.rewrite import (
     SplitError,
     SplitTransaction,
     split_operation,
-    sub_op_names,
 )
 from ..obs import MetricsSnapshot, Observability, get_obs
 from .context import WarmStartSeed
 from .dpos import DPOS, DPOSResult
 from .ranks import compute_ranks, critical_path
 from .strategy import Strategy
-
-#: "No explicit value" marker for OSDPOS kwargs that fall back to
-#: :class:`SearchOptions` fields.
-_UNSET = object()
 
 
 @dataclass
@@ -76,12 +62,9 @@ class SearchOptions:
         max_candidate_ops: Cap on critical-path ops examined
             (``None`` = the full path; the early exit usually stops far
             sooner).
-        naive: Use the reference copy-per-candidate evaluation path
-            (kept for the equivalence suite and benchmark baselines).
-        prune: Skip candidates the lower bound proves hopeless
-            (incremental path only; never changes the strategy).
         workers: Fan surviving candidates out to this many worker
-            processes (incremental path only).
+            processes (incremental path only; the cost models must be
+            picklable, which the oracle models are).
         coarsen: Hierarchical search over a contracted graph
             (:func:`~repro.graph.contract_graph`).  ``True`` forces it,
             ``False`` disables it (exact search, byte-identical to the
@@ -97,8 +80,6 @@ class SearchOptions:
     enable_splitting: bool = True
     split_counts: Optional[List[int]] = None
     max_candidate_ops: Optional[int] = 12
-    naive: bool = False
-    prune: bool = True
     workers: Optional[int] = None
     coarsen: object = "auto"
     coarsen_threshold: int = 5000
@@ -249,116 +230,37 @@ def _evaluate_candidate(
 class OSDPOS:
     """Alg. 2 — operation-splitting search over a :class:`DPOS` engine.
 
-    The constructor mirrors :class:`DPOS`: either pass a configured
-    ``dpos`` instance, or the same ``topology``/``computation``/
-    ``communication``/``memory_fraction`` parameters DPOS takes and one
-    is built internally.  All search knobs are keyword-only and can be
-    given either individually or bundled as a :class:`SearchOptions`
-    (individual kwargs win over ``options`` fields).
-
     Args:
         dpos: The placement/ordering engine (carries cluster+cost models).
-        topology: Cluster to place onto (alternative to ``dpos``).
-        computation: Computation cost model (alternative to ``dpos``).
-        communication: Communication cost model (alternative to ``dpos``).
-        memory_fraction: Planner memory headroom when building the
-            internal DPOS.
-        options: Bundled :class:`SearchOptions`; without it the engine
-            defaults to the paper's full-critical-path walk
+        options: The search knobs (:class:`SearchOptions`); without them
+            the engine walks the paper's full critical path
             (``max_candidate_ops=None``).
-        split_counts: Candidate split numbers; default
-            :func:`default_split_counts` of the cluster size.
-        max_candidate_ops: Cap on how many critical-path ops are examined.
-        naive: Use the reference copy-per-candidate evaluation path (no
-            transactions, no cache, no pruning).  Kept for the
-            equivalence suite and benchmark baselines.
-        prune: Skip a candidate's DPOS rerun when the lower bound proves
-            it cannot beat the incumbent finish time (incremental path
-            only; never changes the returned strategy).
-        workers: Evaluate each op's surviving candidates in this many
-            worker processes (incremental path only; the cost models
-            must be picklable, which the oracle models are).
         obs: Observability hook (spans per search/op, search counters and
             cache hit/miss metrics); defaults to the zero-cost no-op.
     """
 
     def __init__(
         self,
-        dpos: Optional[DPOS] = None,
+        dpos: DPOS,
         *,
-        topology: Optional[Topology] = None,
-        computation: Optional[ComputationCostModel] = None,
-        communication: Optional[CommunicationCostModel] = None,
-        memory_fraction: float = 0.9,
         options: Optional[SearchOptions] = None,
-        split_counts: object = _UNSET,
-        max_candidate_ops: object = _UNSET,
-        naive: object = _UNSET,
-        prune: object = _UNSET,
-        workers: object = _UNSET,
-        coarsen: object = _UNSET,
-        coarsen_threshold: object = _UNSET,
-        coarsen_target: object = _UNSET,
         obs: Optional[Observability] = None,
     ) -> None:
-        if dpos is None:
-            if topology is None or computation is None or communication is None:
-                raise TypeError(
-                    "OSDPOS needs either a DPOS instance or all of "
-                    "topology=, computation=, communication="
-                )
-            dpos = DPOS(
-                topology, computation, communication,
-                memory_fraction=memory_fraction,
-                obs=obs,
-            )
-        elif topology is not None or computation is not None \
-                or communication is not None:
-            raise TypeError(
-                "pass either dpos or topology/computation/communication, "
-                "not both"
-            )
         self.dpos = dpos
         self.obs = get_obs(obs)
-
-        base = options if options is not None \
-            else SearchOptions(max_candidate_ops=None)
-        if split_counts is _UNSET:
-            split_counts = base.split_counts
-        if max_candidate_ops is _UNSET:
-            max_candidate_ops = base.max_candidate_ops
-        if naive is _UNSET:
-            naive = base.naive
-        if prune is _UNSET:
-            prune = base.prune
-        if workers is _UNSET:
-            workers = base.workers
-        if coarsen is _UNSET:
-            coarsen = base.coarsen
-        if coarsen_threshold is _UNSET:
-            coarsen_threshold = base.coarsen_threshold
-        if coarsen_target is _UNSET:
-            coarsen_target = base.coarsen_target
-        if not base.enable_splitting:
-            split_counts = []
-
-        num_devices = len(dpos.topology.devices)
-        self.split_counts = (
-            list(split_counts)  # type: ignore[arg-type]
-            if split_counts is not None
-            else default_split_counts(num_devices)
-        )
-        self.max_candidate_ops = max_candidate_ops
-        self.naive = bool(naive)
-        self.prune = bool(prune)
-        if workers is not None and workers < 1:  # type: ignore[operator]
-            raise ValueError("workers must be a positive integer or None")
-        self.workers = workers
-        if coarsen not in (True, False, "auto"):
-            raise ValueError('coarsen must be True, False, or "auto"')
-        self.coarsen = coarsen
-        self.coarsen_threshold = int(coarsen_threshold)  # type: ignore[call-overload]
-        self.coarsen_target = int(coarsen_target)  # type: ignore[call-overload]
+        if options is None:
+            options = SearchOptions(max_candidate_ops=None)
+        if not options.enable_splitting:
+            self.split_counts: List[int] = []
+        elif options.split_counts is not None:
+            self.split_counts = list(options.split_counts)
+        else:
+            self.split_counts = default_split_counts(len(dpos.topology.devices))
+        self.max_candidate_ops = options.max_candidate_ops
+        self.workers = options.workers
+        self.coarsen = options.coarsen
+        self.coarsen_threshold = options.coarsen_threshold
+        self.coarsen_target = options.coarsen_target
 
     # ------------------------------------------------------------------
     def run(
@@ -370,7 +272,7 @@ class OSDPOS:
         """Compute split list, placement, and order for ``graph``.
 
         ``graph`` itself is never mutated; the search works on a private
-        copy.  All cold evaluation modes return identical strategies.
+        copy.
 
         ``warm_start`` replays a cached strategy's partition list
         through :class:`~repro.graph.SplitTransaction` and schedules the
@@ -390,7 +292,7 @@ class OSDPOS:
         elif use_coarse:
             mode = "coarse"
         else:
-            mode = "naive" if self.naive else "incremental"
+            mode = "incremental"
         search = obs.provenance.begin_search(graph=graph.name, mode=mode)
         if obs.events.enabled:
             obs.events.emit(
@@ -412,8 +314,6 @@ class OSDPOS:
                 result = self._run_warm(graph, search, warm_start)
             elif use_coarse:
                 result = self._run_coarse(graph, search)
-            elif self.naive:
-                result = self._run_naive(graph, search)
             else:
                 result = self._run_incremental(graph, search)
         if obs.events.enabled:
@@ -465,98 +365,6 @@ class OSDPOS:
                 "search.op.finish",
                 op=op_name, verdict=verdict, makespan=makespan,
             )
-
-    # ------------------------------------------------------------------
-    # Reference path: copy the whole graph per candidate
-    # ------------------------------------------------------------------
-    def _run_naive(self, graph: Graph, search) -> OSDPOSResult:
-        current_graph = graph.copy()
-        best = self.dpos.run(current_graph)
-        search.record_initial(best.finish_time)
-        split_list: List[SplitDecision] = []
-        candidates_evaluated = 0
-        splits_rejected = 0
-
-        if self.split_counts:
-            cp_ops = self._placement_critical_path(current_graph, best)
-            if self.max_candidate_ops is not None:
-                cp_ops = cp_ops[: self.max_candidate_ops]
-            search.set_candidate_ops(cp_ops)
-            for op_index, op_name in enumerate(cp_ops):
-                if op_name not in current_graph:
-                    continue  # consumed by an earlier committed split
-                op = current_graph.get_op(op_name)
-                if not op.is_splittable:
-                    continue
-                rnd = search.begin_op(op_name, incumbent=best.finish_time)
-                self._emit_op_start(
-                    op_name, op_index, len(cp_ops), best.finish_time
-                )
-                outcome = self._best_split_for(current_graph, op, rnd)
-                if outcome is None:
-                    rnd.no_candidates()
-                    self._emit_op_finish(op_name, "no-candidates")
-                    continue
-                decision, candidate_graph, candidate_result, tried = outcome
-                candidates_evaluated += tried
-                if candidate_result.finish_time < best.finish_time:
-                    rnd.accept(
-                        decision.dim, decision.num_splits,
-                        sub_ops=sub_op_names(
-                            decision.op_name, decision.num_splits
-                        ),
-                        makespan=candidate_result.finish_time,
-                    )
-                    split_list.append(decision)
-                    current_graph = candidate_graph
-                    best = candidate_result
-                    self._emit_commit(decision, best.finish_time)
-                    self._emit_op_finish(
-                        op_name, "accepted", best.finish_time
-                    )
-                else:
-                    rnd.reject(best_makespan=candidate_result.finish_time)
-                    splits_rejected += 1
-                    self._emit_op_finish(
-                        op_name, "rejected", candidate_result.finish_time
-                    )
-                    break  # paper: stop at the first non-improving CP op
-
-        return self._package(
-            current_graph, best, split_list,
-            candidates_evaluated, splits_rejected, 0,
-            search=search,
-        )
-
-    def _best_split_for(
-        self, base_graph: Graph, op: Operation, rnd
-    ) -> Optional[Tuple[SplitDecision, Graph, DPOSResult, int]]:
-        """Try every (dimension, split count) for ``op``; keep the best."""
-        best: Optional[Tuple[SplitDecision, Graph, DPOSResult]] = None
-        tried = 0
-        for dim, count in itertools.product(
-            sorted(op.split_dims), self.split_counts
-        ):
-            candidate_graph = base_graph.copy()
-            try:
-                split_operation(
-                    candidate_graph, candidate_graph.get_op(op.name), dim, count
-                )
-            except SplitError:
-                rnd.candidate(dim, count, "infeasible")
-                continue  # extent too small for this count, etc.
-            result = self.dpos.run(candidate_graph)
-            tried += 1
-            rnd.candidate(dim, count, "rejected", makespan=result.finish_time)
-            if best is None or result.finish_time < best[2].finish_time:
-                best = (
-                    SplitDecision(op_name=op.name, dim=dim, num_splits=count),
-                    candidate_graph,
-                    result,
-                )
-        if best is None:
-            return None
-        return (*best, tried)
 
     # ------------------------------------------------------------------
     # Coarse path: hierarchical search over a contracted graph
@@ -919,7 +727,7 @@ class OSDPOS:
                         initializer=_worker_init,
                         initargs=(limit,),
                     )
-                bounds = _SearchBounds(cache) if self.prune else None
+                bounds = _SearchBounds(cache)
                 cp_ops = self._placement_critical_path(
                     working, best, cache=cache
                 )
@@ -980,8 +788,7 @@ class OSDPOS:
                         self._emit_op_finish(
                             op_name, "accepted", best.finish_time
                         )
-                        if self.prune:
-                            bounds = _SearchBounds(cache)
+                        bounds = _SearchBounds(cache)
                     else:
                         rnd.reject(
                             best_makespan=(
@@ -1011,7 +818,7 @@ class OSDPOS:
         working: Graph,
         op: Operation,
         cache: CostCache,
-        bounds: Optional[_SearchBounds],
+        bounds: _SearchBounds,
         incumbent: float,
         executor: Optional[ProcessPoolExecutor],
         rnd,
@@ -1039,25 +846,24 @@ class OSDPOS:
                 continue  # extent too small for this count, etc.
             cache.invalidate(txn.touched)
             attempted += 1
-            if bounds is not None:
-                # A candidate is hopeless once it provably cannot *strictly*
-                # beat the incumbent finish time (required to commit) or the
-                # best sibling candidate seen so far (required to win the
-                # op-best race; ties keep the earlier candidate, matching
-                # the naive path's strict-< selection).  Skip its DPOS
-                # rerun entirely.
-                threshold = incumbent
-                if best is not None and best[1].finish_time < threshold:
-                    threshold = best[1].finish_time
-                lower_bound = self._candidate_lower_bound(txn, bounds, cache)
-                if lower_bound >= threshold:
-                    pruned += 1
-                    rnd.candidate(
-                        dim, count, "pruned",
-                        lower_bound=lower_bound, threshold=threshold,
-                    )
-                    cache.invalidate(txn.undo())
-                    continue
+            # A candidate is hopeless once it provably cannot *strictly*
+            # beat the incumbent finish time (required to commit) or the
+            # best sibling candidate seen so far (required to win the
+            # op-best race; ties keep the earlier candidate, matching the
+            # reference search's strict-< selection).  Skip its DPOS rerun
+            # entirely.
+            threshold = incumbent
+            if best is not None and best[1].finish_time < threshold:
+                threshold = best[1].finish_time
+            lower_bound = self._candidate_lower_bound(txn, bounds, cache)
+            if lower_bound >= threshold:
+                pruned += 1
+                rnd.candidate(
+                    dim, count, "pruned",
+                    lower_bound=lower_bound, threshold=threshold,
+                )
+                cache.invalidate(txn.undo())
+                continue
             if executor is not None:
                 cache.invalidate(txn.undo())
                 survivors.append((dim, count))

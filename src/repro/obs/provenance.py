@@ -298,7 +298,7 @@ class SearchRecord:
 
     search_id: int
     graph: str
-    #: ``dpos`` (plain placement) | ``incremental`` | ``naive``
+    #: ``dpos`` (plain placement) | ``incremental`` | ``coarse`` | ``warm``
     mode: str
     #: Critical-path ops the split search examined, in walk order.
     candidate_ops: List[str] = field(default_factory=list)

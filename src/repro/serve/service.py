@@ -106,10 +106,13 @@ def new_request_id() -> str:
 
 #: Fields a request's ``config``/``config.search`` override may set.
 #: Everything else in FastTConfig is service policy, not tenant input.
+#: ``search.workers`` is policy too: one request must not open a process
+#: pool of its own choosing, and a strategy-neutral knob must not split
+#: the store key of an otherwise identical problem.
 _CONFIG_FIELDS = frozenset(
     f for f in FastTConfig.__dataclass_fields__ if f != "search"
 )
-_SEARCH_FIELDS = frozenset(SearchOptions.__dataclass_fields__)
+_SEARCH_FIELDS = frozenset(SearchOptions.__dataclass_fields__) - {"workers"}
 
 
 class RequestError(ValueError):
@@ -191,8 +194,12 @@ def normalize_request(request: Dict[str, object]) -> Dict[str, object]:
             "dict under 'topology'"
         )
     document: Dict[str, object] = {"model": model, "topology": topology}
-    if request.get("global_batch") is not None:
-        batch = int(request["global_batch"])  # type: ignore[arg-type]
+    batch = request.get("global_batch")
+    if batch is not None:
+        if isinstance(batch, bool) or not isinstance(batch, int):
+            raise RequestError(
+                f"'global_batch' must be an integer, got {batch!r}"
+            )
         if batch <= 0:
             # repro.optimize rejects the same input (a ShapeError on the
             # batch dimension); say so before it is cached under its key.
@@ -212,7 +219,8 @@ def normalize_request(request: Dict[str, object]) -> Dict[str, object]:
             unknown = set(value) - _SEARCH_FIELDS
             if unknown:
                 raise RequestError(
-                    f"unknown search option(s): {sorted(unknown)}"
+                    f"unknown search option(s): {sorted(unknown)}; a "
+                    f"request may set {sorted(_SEARCH_FIELDS)}"
                 )
             overrides["search"] = {k: value[k] for k in sorted(value)}
         elif key in _CONFIG_FIELDS:
@@ -220,18 +228,34 @@ def normalize_request(request: Dict[str, object]) -> Dict[str, object]:
         else:
             raise RequestError(f"unknown config option: {key!r}")
     if overrides:
+        # Applied once to the defaults, so a value SearchOptions rejects
+        # fails here, typed, before any session or search starts.
+        _build_config(FastTConfig(), overrides)
         document["config"] = overrides
     return document
 
 
 def _build_config(base: FastTConfig, overrides: Dict[str, object]) -> FastTConfig:
-    search_overrides = overrides.get("search")
+    """``base`` with a normalized request's config overrides applied.
+
+    A search override :class:`SearchOptions` rejects raises
+    :class:`RequestError` naming the field.
+    """
     config = replace(
         base, **{k: v for k, v in overrides.items() if k != "search"}
     )
-    if search_overrides:
-        config = replace(config, search=replace(config.search, **search_overrides))
-    return config
+    search_overrides = overrides.get("search")
+    if not search_overrides:
+        return config
+    search = config.search
+    for name, value in search_overrides.items():  # type: ignore[union-attr]
+        try:
+            search = replace(search, **{name: value})
+        except (TypeError, ValueError) as exc:
+            raise RequestError(
+                f"invalid 'config.search.{name}' override {value!r}: {exc}"
+            ) from exc
+    return replace(config, search=search)
 
 
 def request_deadline(

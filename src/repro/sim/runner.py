@@ -23,7 +23,7 @@ see :meth:`PerfModel.batch_base_op_times`), and route/link/transfer base
 costs are memoized per device pair on the simulator, so a 100k-op graph
 pays array indexing instead of per-dispatch cost-model recomputation.
 The frozen per-dispatch implementation lives in
-:mod:`repro.sim.reference`; the equivalence suite pins this runner
+``tests/oracles/sim_reference.py``; the equivalence suite pins this runner
 bit-exact against it (same event times, same jitter-stream draws, same
 trace records).
 """

@@ -3,19 +3,22 @@
 The incremental engine (transactional split apply/undo, cost caching,
 lower-bound pruning, optional worker processes) is a pure performance
 layer — on every model in the zoo and every cluster preset it must
-return exactly the strategy the retained ``naive=True`` reference path
-computes, and its evaluated + pruned counters must account for every
-candidate the naive path scores.
+return exactly the strategy the naive copy-per-candidate reference
+search (``tests/oracles/osdpos_reference.py``) computes, and its
+evaluated + pruned counters must account for every candidate the naive
+search scores.
 """
 
 import pytest
 
 from repro.cluster import cluster_for
-from repro.core import DPOS, OSDPOS
+from repro.core import DPOS, OSDPOS, SearchOptions
 from repro.costmodel import OracleCommunicationModel, OracleComputationModel
 from repro.graph import build_single_device_training_graph
 from repro.hardware import PerfModel
 from repro.models import get_model, model_names
+
+from tests.oracles.osdpos_reference import reference_osdpos
 
 GPU_COUNTS = (2, 4, 8)
 MAX_CANDIDATE_OPS = 4
@@ -33,10 +36,12 @@ def _search_pair(model_name, num_gpus):
             model.builder, model.global_batch, name=f"{model_name}_g{num_gpus}"
         )
 
-    def run(**kwargs):
+    def run(naive=False, **kwargs):
         dpos = DPOS(topo, comp, comm)
-        search = OSDPOS(dpos, max_candidate_ops=MAX_CANDIDATE_OPS, **kwargs)
-        return search.run(fresh_graph())
+        options = SearchOptions(max_candidate_ops=MAX_CANDIDATE_OPS, **kwargs)
+        if naive:
+            return reference_osdpos(dpos, fresh_graph(), options)
+        return OSDPOS(dpos, options=options).run(fresh_graph())
 
     return run
 
@@ -85,14 +90,13 @@ def test_incremental_leaves_input_graph_untouched():
         model.builder, model.global_batch, name="lenet_untouched"
     )
     names_before = [op.name for op in graph.ops]
-    result = OSDPOS(dpos, max_candidate_ops=MAX_CANDIDATE_OPS).run(graph)
+    result = OSDPOS(
+        dpos, options=SearchOptions(max_candidate_ops=MAX_CANDIDATE_OPS)
+    ).run(graph)
     assert [op.name for op in graph.ops] == names_before
     assert result.graph is not graph
 
 
 def test_workers_must_be_positive():
-    topo = cluster_for(2)
-    perf = PerfModel(topo)
-    dpos = DPOS(topo, OracleComputationModel(perf), OracleCommunicationModel(perf))
     with pytest.raises(ValueError):
-        OSDPOS(dpos, workers=0)
+        SearchOptions(workers=0)

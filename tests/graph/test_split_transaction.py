@@ -3,7 +3,7 @@
 The incremental OS-DPOS search relies on rollback restoring the working
 graph *byte-for-byte* — op iteration order, consumer-list order, tensor
 tables, and object identity — because the canonical strategies it
-returns are compared against the naive copy-per-candidate path.
+returns are compared against the copy-per-candidate reference search.
 """
 
 import pytest

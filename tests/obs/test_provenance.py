@@ -41,11 +41,11 @@ def mlp_graph():
     return g
 
 
-def _search(topo, graph, obs, **kwargs):
+def _search(topo, graph, obs):
     perf = PerfModel(topo)
     comp = OracleComputationModel(perf)
     comm = OracleCommunicationModel(perf)
-    return OSDPOS(DPOS(topo, comp, comm, obs=obs), obs=obs, **kwargs).run(graph)
+    return OSDPOS(DPOS(topo, comp, comm, obs=obs), obs=obs).run(graph)
 
 
 @pytest.fixture
@@ -84,14 +84,6 @@ class TestJournalRecording:
         assert len(pruned) == result.candidates_pruned
         assert len(rejected_rounds) == result.splits_rejected
         assert len(search.committed_splits) == len(result.split_list)
-
-    def test_naive_path_matches_incremental_journal(self, topo4):
-        obs = Observability(provenance=True)
-        result = _search(topo4, heavy_matmul_graph(), obs, naive=True)
-        search = obs.provenance.journal.searches[0]
-        assert search.mode == "naive"
-        assert search.committed_splits
-        assert search.committed_splits[0].op_name == result.split_list[0].op_name
 
     def test_rejected_rounds_record_best_makespan(self, topo2):
         # The MLP's candidates are evaluated but never beat the incumbent

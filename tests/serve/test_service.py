@@ -59,6 +59,40 @@ class TestNormalize:
             service.submit(_request(global_batch=batch))
         assert service.stats.searches == 0
 
+    @pytest.mark.parametrize(
+        "search", [{"workers": 2}, {"naive": True}, {"prune": False}],
+        ids=["workers", "naive", "prune"],
+    )
+    def test_policy_and_removed_search_options_rejected(self, tmp_path, search):
+        config = dict(FAST_CONFIG, search=dict(FAST_CONFIG["search"], **search))
+        service = _service(tmp_path)
+        with pytest.raises(RequestError, match="unknown search option"):
+            service.submit(_request(config=config))
+        assert service.stats.searches == 0
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"global_batch": "abc"}, "global_batch"),
+            ({"global_batch": True}, "global_batch"),
+            ({"global_batch": 32.0}, "global_batch"),
+            ({"config": {"search": {"coarsen": "x"}}}, "config.search.coarsen"),
+            (
+                {"config": {"search": {"coarsen_threshold": 0}}},
+                "config.search.coarsen_threshold",
+            ),
+        ],
+        ids=[
+            "batch-str", "batch-bool", "batch-float", "coarsen",
+            "coarsen_threshold",
+        ],
+    )
+    def test_malformed_values_get_typed_errors(self, tmp_path, overrides, field):
+        service = _service(tmp_path)
+        with pytest.raises(RequestError, match=field):
+            service.submit(_request(**overrides))
+        assert service.stats.searches == 0
+
     def test_absent_or_null_batch_uses_model_default(self):
         assert "global_batch" not in normalize_request(_request())
         assert "global_batch" not in normalize_request(

@@ -2,8 +2,8 @@
 
 The rewritten :class:`ExecutionSimulator` (single global event heap,
 numpy-batched cost lookups, route/transfer memos) is a pure performance
-layer over :class:`ReferenceSimulator`, the verbatim seed runner kept
-for exactly this suite.  Every observable — makespan, op records,
+layer over :class:`ReferenceSimulator`, the seed runner kept in
+``tests/oracles/sim_reference.py`` for exactly this suite.  Every observable — makespan, op records,
 transfer records (including multi-hop routed channels), peak memory,
 blocking-edge attribution — must be identical on every zoo model and
 every cluster preset, with and without jitter, because downstream
@@ -21,7 +21,9 @@ from repro.hardware import PerfModel
 from repro.models import get_model, model_names
 from repro.obs.analyze import analyze_step
 from repro.obs.chrome_trace import step_trace_events, trace_document, validate_trace
-from repro.sim import ExecutionSimulator, ReferenceSimulator
+from repro.sim import ExecutionSimulator
+
+from tests.oracles.sim_reference import ReferenceSimulator
 
 PRESETS = {
     "two_tier": lambda: two_servers(2),

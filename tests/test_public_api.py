@@ -16,6 +16,10 @@ from repro import (
     optimize,
     single_server,
 )
+from repro.cluster import NVLINK, Topology, make_devices
+from repro.core import DPOS, OSDPOS
+from repro.costmodel import OracleCommunicationModel, OracleComputationModel
+from repro.hardware import PerfModel
 
 
 class TestSurface:
@@ -81,32 +85,43 @@ class TestOptimize:
             optimize(lambda: None, single_server(2))
 
 
+def _removed_osdpos_kwarg():
+    topo = single_server(2)
+    perf = PerfModel(topo)
+    dpos = DPOS(
+        topo, OracleComputationModel(perf), OracleCommunicationModel(perf)
+    )
+    assert OSDPOS(dpos).dpos is dpos  # the supported spelling builds
+    OSDPOS(dpos, max_candidate_ops=3)
+
+
 class TestConfigDeprecations:
-    """Old flat FastTConfig search knobs warn but keep working."""
+    """The removed search spellings fail loudly; ``SearchOptions`` is the
+    one way to configure the search."""
 
-    def test_init_kwarg_warns_and_is_equivalent(self):
-        with pytest.warns(DeprecationWarning):
-            old = FastTConfig(naive_search=True, search_workers=3)
-        new = FastTConfig(search=SearchOptions(naive=True, workers=3))
-        assert old.search.naive == new.search.naive == True  # noqa: E712
-        assert old.search.workers == new.search.workers == 3
-
-    def test_attribute_read_warns_and_delegates(self):
-        config = FastTConfig(search=SearchOptions(max_candidate_ops=7))
-        with pytest.warns(DeprecationWarning):
-            assert config.max_candidate_ops == 7
-
-    def test_attribute_write_warns_and_delegates(self):
-        config = FastTConfig()
-        with pytest.warns(DeprecationWarning):
-            config.enable_splitting = False
-        assert config.search.enable_splitting is False
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FastTConfig(naive_search=True),
+            lambda: SearchOptions(naive=True),
+            lambda: SearchOptions(prune=False),
+            _removed_osdpos_kwarg,
+            lambda: Topology(make_devices([2]), intra_server=NVLINK),
+        ],
+        ids=[
+            "config-naive_search", "options-naive", "options-prune",
+            "osdpos-max_candidate_ops", "topology-intra_server",
+        ],
+    )
+    def test_removed_spelling_raises_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
 
     def test_new_style_config_is_warning_free(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            config = FastTConfig(search=SearchOptions(naive=True))
-            assert config.search.naive is True
+            warnings.simplefilter("error")
+            config = FastTConfig(search=SearchOptions(workers=3))
+            assert config.search.workers == 3
 
     def test_search_options_rejects_positional_args(self):
         with pytest.raises(TypeError):
