@@ -39,8 +39,8 @@ def main() -> None:
     print()
 
     # 2. Recording composes with your own subscribers: pass an obs hook
-    #    with events enabled and tap the bus directly.
-    obs = Observability(events=True)
+    #    and tap its event bus directly.
+    obs = Observability()
     rounds = []
     obs.events.subscribe(
         lambda e: rounds.append(e.data) if e.kind == "round.finish" else None

@@ -46,7 +46,7 @@ def main() -> None:
     # 1. The strategy-search workflow as a wall-clock timeline.
     search_trace = obs.export_chrome_trace(f"{out}/search.trace.json")
     print(f"search timeline: {search_trace} "
-          f"({len(obs.tracer.events)} events)")
+          f"({len(obs.trace.events)} events)")
 
     # 2. One simulated iteration of the winning strategy, rendered with
     #    per-device rows (compute + ready-queue waits) and per-channel

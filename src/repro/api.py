@@ -275,16 +275,12 @@ def optimize(
     renderer = None
     if record or progress:
         if obs is None:
-            obs = Observability(events=True, provenance=record)
+            obs = Observability(provenance=record)
         elif not obs.enabled:
             raise ValueError(
                 "run recording/progress needs an enabled Observability; "
                 "got a disabled obs= hook"
             )
-        elif not obs.events.enabled:
-            from .obs import EventBus
-
-            obs.events = EventBus()
     if record:
         from .obs.runs import RunRegistry
 
@@ -393,9 +389,6 @@ def _record_run(
         "step", step_trace.save(recorder.path("step.json"))
     )
     recorder.add_artifact(
-        "trace", obs.export_chrome_trace(recorder.path("trace.json"))
-    )
-    recorder.add_artifact(
         "provenance",
         obs.export_provenance(recorder.path("provenance.json")),
     )
@@ -415,6 +408,10 @@ def _record_run(
         run_id=recorder.run_id,
         status="completed",
         makespan=iteration_time,
+    )
+    # After run.finish, so the trace closes the run's span.
+    recorder.add_artifact(
+        "trace", obs.export_chrome_trace(recorder.path("trace.json"))
     )
     recorder.finish(
         status="completed",

@@ -243,10 +243,8 @@ class StrategyCalculator:
 
     def _profile(self, graph: Graph, strategy: Strategy, steps: int):
         profiler = self._profiler_for(graph)
-        with self.obs.tracer.span(
-            "calculator.profile",
-            cat="calculator",
-            args={"graph": graph.name, "steps": steps},
+        with self.obs.events.span(
+            "calculator.profile", graph=graph.name, steps=steps
         ):
             if strategy.order and self.config.enable_order_enforcement:
                 order = complete_order(graph, strategy.order)
@@ -353,13 +351,10 @@ class StrategyCalculator:
     # ------------------------------------------------------------------
     def run(self) -> CalculationReport:
         """Execute the pre-training stage; returns the surviving strategy."""
-        with self.obs.tracer.span(
+        with self.obs.events.span(
             "calculator.run",
-            cat="calculator",
-            args={
-                "graph": self.input_graph.name,
-                "max_rounds": self.config.max_rounds,
-            },
+            graph=self.input_graph.name,
+            max_rounds=self.config.max_rounds,
         ):
             report = self._run_rounds()
         if self.obs.enabled:
@@ -385,7 +380,6 @@ class StrategyCalculator:
 
     def _run_rounds(self) -> CalculationReport:
         config = self.config
-        tracer = self.obs.tracer
         events = self.obs.events
         state = _RunState(
             alternatives=list(self.alternative_inputs),
@@ -400,153 +394,128 @@ class StrategyCalculator:
         current_measured: Optional[float] = None
 
         for round_index in range(config.max_rounds):
-            tracer.instant(
-                f"round:{round_index}",
-                cat="calculator",
-                args={"strategy": current_strategy.label},
-            )
-            if events.enabled:
-                events.emit(
-                    "round.start",
-                    round=round_index,
-                    strategy=current_strategy.label,
-                    best=best[2] if best else None,
+            with events.span(
+                "round",
+                round=round_index,
+                strategy=current_strategy.label,
+                best=best[2] if best else None,
+            ) as finish:
+                finish["round"] = round_index
+                record = RoundRecord(
+                    round_index=round_index,
+                    strategy_label=current_strategy.label,
+                    estimated_time=current_strategy.estimated_time,
                 )
-            record = RoundRecord(
-                round_index=round_index,
-                strategy_label=current_strategy.label,
-                estimated_time=current_strategy.estimated_time,
-            )
-            profile_started = _time.perf_counter()
-            try:
-                result = self._profile(
-                    current_graph, current_strategy, config.profiling_steps
-                )
-                current_measured = result.mean_iteration_time
-                report.simulated_profiling_seconds += sum(
-                    t.makespan for t in result.traces
-                )
-            except SimulationOOMError as exc:
-                state.last_oom = exc
-                current_measured = None
-            record.measured_time = current_measured
-            if events.enabled:
-                events.emit(
-                    "phase",
-                    name="profile",
-                    round=round_index,
-                    seconds=_time.perf_counter() - profile_started,
-                    measured=current_measured,
-                )
-
-            if round_index == 0 and current_measured is not None:
-                report.initial_measured_time = current_measured
-            if current_measured is not None and (
-                best is None or current_measured < best[2]
-            ):
-                best = (current_strategy, current_graph, current_measured)
-
-            # Rollback: the paper reverts when the activated strategy's
-            # measured per-iteration time exceeds the previous one's.
-            if (
-                config.enable_rollback
-                and previous is not None
-                and previous[2] is not None
-                and (
-                    current_measured is None
-                    or current_measured > previous[2]
-                )
-            ):
-                current_strategy, current_graph, current_measured = previous
-                previous = None
-                record.rolled_back = True
-                tracer.instant(
-                    f"rollback:round{round_index}",
-                    cat="calculator",
-                    args={"to": current_strategy.label},
-                )
+                profile_started = _time.perf_counter()
+                try:
+                    result = self._profile(
+                        current_graph, current_strategy, config.profiling_steps
+                    )
+                    current_measured = result.mean_iteration_time
+                    report.simulated_profiling_seconds += sum(
+                        t.makespan for t in result.traces
+                    )
+                except SimulationOOMError as exc:
+                    state.last_oom = exc
+                    current_measured = None
+                record.measured_time = current_measured
                 if events.enabled:
                     events.emit(
-                        "round.rollback",
+                        "phase",
+                        name="profile",
                         round=round_index,
-                        to=current_strategy.label,
+                        seconds=_time.perf_counter() - profile_started,
+                        measured=current_measured,
                     )
+
+                if round_index == 0 and current_measured is not None:
+                    report.initial_measured_time = current_measured
+                if current_measured is not None and (
+                    best is None or current_measured < best[2]
+                ):
+                    best = (current_strategy, current_graph, current_measured)
+
+                # Rollback: the paper reverts when the activated strategy's
+                # measured per-iteration time exceeds the previous one's.
+                if (
+                    config.enable_rollback
+                    and previous is not None
+                    and previous[2] is not None
+                    and (
+                        current_measured is None
+                        or current_measured > previous[2]
+                    )
+                ):
+                    current_strategy, current_graph, current_measured = previous
+                    previous = None
+                    record.rolled_back = True
+                    if events.enabled:
+                        events.emit(
+                            "round.rollback",
+                            round=round_index,
+                            to=current_strategy.label,
+                        )
+                    finish.update(
+                        verdict="rolled-back", best=best[2] if best else None
+                    )
+                    report.simulated_restart_seconds += (
+                        config.restart_overhead_seconds
+                    )
+                    report.rounds.append(record)
+                    continue
+
+                best = self._profile_alternatives(report, best, state)
+
+                record.stable = state.stability.update(
+                    self.computation.snapshot()
+                )
+                if record.stable and round_index + 1 >= config.min_rounds:
+                    report.rounds.append(record)
+                    finish.update(
+                        verdict="stable", best=best[2] if best else None
+                    )
+                    break
+
+                started = _time.perf_counter()
+                with events.span("calculator.search", round=round_index):
+                    candidate, candidate_graph = self._compute_strategy(
+                        report, state
+                    )
+                search_seconds = _time.perf_counter() - started
+                report.algorithm_seconds += search_seconds
+                if events.enabled:
                     events.emit(
-                        "round.finish",
+                        "phase",
+                        name="search",
                         round=round_index,
-                        verdict="rolled-back",
-                        best=best[2] if best else None,
+                        seconds=search_seconds,
                     )
-                report.simulated_restart_seconds += config.restart_overhead_seconds
+
+                should_activate = (
+                    candidate.estimated_time is not None
+                    and (
+                        current_strategy.estimated_time is None
+                        or candidate.estimated_time
+                        < current_strategy.estimated_time
+                    )
+                )
+                if should_activate:
+                    previous = (current_strategy, current_graph, current_measured)
+                    current_strategy = candidate
+                    current_graph = candidate_graph
+                    report.simulated_restart_seconds += (
+                        config.restart_overhead_seconds
+                    )
+                    record.activated = True
+                    if events.enabled:
+                        events.emit(
+                            "round.activate",
+                            round=round_index,
+                            strategy=candidate.label,
+                            estimate=candidate.estimated_time,
+                        )
                 report.rounds.append(record)
-                continue
-
-            best = self._profile_alternatives(report, best, state)
-
-            record.stable = state.stability.update(self.computation.snapshot())
-            if record.stable and round_index + 1 >= config.min_rounds:
-                report.rounds.append(record)
-                if events.enabled:
-                    events.emit(
-                        "round.finish",
-                        round=round_index,
-                        verdict="stable",
-                        best=best[2] if best else None,
-                    )
-                break
-
-            started = _time.perf_counter()
-            with tracer.span(
-                "calculator.search",
-                cat="calculator",
-                args={"round": round_index},
-            ):
-                candidate, candidate_graph = self._compute_strategy(
-                    report, state
-                )
-            search_seconds = _time.perf_counter() - started
-            report.algorithm_seconds += search_seconds
-            if events.enabled:
-                events.emit(
-                    "phase",
-                    name="search",
-                    round=round_index,
-                    seconds=search_seconds,
-                )
-
-            should_activate = (
-                candidate.estimated_time is not None
-                and (
-                    current_strategy.estimated_time is None
-                    or candidate.estimated_time < current_strategy.estimated_time
-                )
-            )
-            if should_activate:
-                previous = (current_strategy, current_graph, current_measured)
-                current_strategy = candidate
-                current_graph = candidate_graph
-                report.simulated_restart_seconds += config.restart_overhead_seconds
-                record.activated = True
-                tracer.instant(
-                    f"activate:round{round_index}",
-                    cat="calculator",
-                    args={
-                        "label": candidate.label,
-                        "estimate": candidate.estimated_time,
-                    },
-                )
-                if events.enabled:
-                    events.emit(
-                        "round.activate",
-                        round=round_index,
-                        strategy=candidate.label,
-                        estimate=candidate.estimated_time,
-                    )
-            report.rounds.append(record)
-            if events.enabled:
-                events.emit(
-                    "round.finish",
-                    round=round_index,
+                finish.update(
                     verdict="activated" if record.activated else "kept",
                     best=best[2] if best else None,
                 )

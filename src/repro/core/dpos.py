@@ -260,14 +260,11 @@ class DPOS:
         The result is identical either way.
         """
         obs = self.obs
-        with obs.tracer.span(
+        with obs.events.span(
             "search.dpos",
-            cat="search",
-            args={
-                "graph": graph.name,
-                "ops": graph.num_ops,
-                "cached": cost_cache is not None,
-            },
+            graph=graph.name,
+            ops=graph.num_ops,
+            cached=cost_cache is not None,
         ):
             result = self._run(graph, cost_cache)
         if obs.enabled:

@@ -22,6 +22,7 @@ reference search (``tests/oracles/osdpos_reference.py``).
 
 from __future__ import annotations
 
+import copy
 import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -37,7 +38,7 @@ from ..graph.rewrite import (
     SplitTransaction,
     split_operation,
 )
-from ..obs import MetricsSnapshot, Observability, get_obs
+from ..obs import NULL_OBS, MetricsSnapshot, Observability, get_obs
 from .context import WarmStartSeed
 from .dpos import DPOS, DPOSResult
 from .ranks import compute_ranks, critical_path
@@ -215,8 +216,11 @@ def _evaluate_candidate(
 
     The worker receives its own pickled copy of the working graph, so it
     applies the split destructively; DPOS output is a pure function of
-    graph content, hence identical to the in-process evaluation.
+    graph content, hence identical to the in-process evaluation.  The
+    engine arrives without its observability hook (a worker's emissions
+    could never reach the parent's subscribers) and runs un-observed.
     """
+    dpos.obs = NULL_OBS
     try:
         split_operation(graph, graph.get_op(op_name), dim, num_splits)
     except SplitError:
@@ -294,31 +298,16 @@ class OSDPOS:
         else:
             mode = "incremental"
         search = obs.provenance.begin_search(graph=graph.name, mode=mode)
-        if obs.events.enabled:
-            obs.events.emit(
-                "search.start",
-                graph=graph.name,
-                ops=graph.num_ops,
-                mode=mode,
-            )
-        with obs.tracer.span(
-            "search.osdpos",
-            cat="search",
-            args={
-                "graph": graph.name,
-                "ops": graph.num_ops,
-                "mode": mode,
-            },
-        ):
+        with obs.events.span(
+            "search", graph=graph.name, ops=graph.num_ops, mode=mode
+        ) as finish:
             if warm_start is not None:
                 result = self._run_warm(graph, search, warm_start)
             elif use_coarse:
                 result = self._run_coarse(graph, search)
             else:
                 result = self._run_incremental(graph, search)
-        if obs.events.enabled:
-            obs.events.emit(
-                "search.finish",
+            finish.update(
                 graph=graph.name,
                 mode=mode,
                 makespan=result.finish_time,
@@ -336,17 +325,6 @@ class OSDPOS:
     # ------------------------------------------------------------------
     # Telemetry (no-ops unless the obs hook carries a live event bus)
     # ------------------------------------------------------------------
-    def _emit_op_start(
-        self, op_name: str, index: int, total: int, incumbent: float
-    ) -> None:
-        events = self.obs.events
-        if events.enabled:
-            events.emit(
-                "search.op.start",
-                op=op_name, index=index + 1, total=total,
-                incumbent=incumbent,
-            )
-
     def _emit_commit(self, decision: SplitDecision, makespan: float) -> None:
         events = self.obs.events
         if events.enabled:
@@ -354,16 +332,6 @@ class OSDPOS:
                 "search.commit",
                 op=decision.op_name, dim=decision.dim,
                 num_splits=decision.num_splits, makespan=makespan,
-            )
-
-    def _emit_op_finish(
-        self, op_name: str, verdict: str, makespan: Optional[float] = None
-    ) -> None:
-        events = self.obs.events
-        if events.enabled:
-            events.emit(
-                "search.op.finish",
-                op=op_name, verdict=verdict, makespan=makespan,
             )
 
     # ------------------------------------------------------------------
@@ -416,7 +384,6 @@ class OSDPOS:
             if self.max_candidate_ops is not None:
                 cp_ops = cp_ops[: self.max_candidate_ops]
             search.set_candidate_ops(cp_ops)
-            tracer = self.obs.tracer
             for op_index, op_name in enumerate(cp_ops):
                 if op_name not in working:
                     continue  # consumed by an earlier committed split
@@ -424,62 +391,53 @@ class OSDPOS:
                 if not op.is_splittable:
                     continue
                 rnd = search.begin_op(op_name, incumbent=best.finish_time)
-                self._emit_op_start(
-                    op_name, op_index, len(cp_ops), best.finish_time
-                )
-                with tracer.span(
-                    f"evaluate:{op_name}", cat="search.candidates"
-                ):
+                with self.obs.events.span(
+                    "search.op", op=op_name, index=op_index + 1,
+                    total=len(cp_ops), incumbent=best.finish_time,
+                ) as finish:
+                    finish["op"] = op_name
                     outcome = self._best_coarse_split(working, op, memo, rnd)
-                if outcome is None:
-                    rnd.no_candidates()
-                    self._emit_op_finish(op_name, "no-candidates")
-                    continue
-                decision, candidate_result, tried = outcome
-                evaluated += tried
-                if candidate_result.finish_time < best.finish_time:
-                    # Re-apply the winner: the transaction name counters
-                    # were restored by undo, so the sub-ops come back
-                    # under the exact names the evaluation saw and the
-                    # re-contraction reproduces the evaluated coarse
-                    # graph verbatim.
-                    txn = SplitTransaction(
-                        working, op, decision.dim, decision.num_splits
-                    )
-                    txn.apply()
-                    rnd.accept(
-                        decision.dim, decision.num_splits,
-                        sub_ops=[o.name for o in txn.sub_ops],
-                        makespan=candidate_result.finish_time,
-                    )
-                    txn.commit()
-                    split_list.append(decision)
-                    best = candidate_result
-                    plan = contract_graph(
-                        working,
-                        target=self.coarsen_target,
-                        events=self.obs.events,
-                    )
-                    tracer.instant(
-                        f"commit-split:{op_name}",
-                        cat="search",
-                        args={
-                            "dim": decision.dim,
-                            "num_splits": decision.num_splits,
-                            "finish_time": candidate_result.finish_time,
-                        },
-                    )
-                    self._emit_commit(decision, best.finish_time)
-                    self._emit_op_finish(
-                        op_name, "accepted", best.finish_time
-                    )
-                else:
-                    rnd.reject(best_makespan=candidate_result.finish_time)
-                    rejected += 1
-                    self._emit_op_finish(
-                        op_name, "rejected", candidate_result.finish_time
-                    )
-                    break  # first non-improving CP op stops the search
+                    if outcome is None:
+                        rnd.no_candidates()
+                        finish.update(verdict="no-candidates", makespan=None)
+                        continue
+                    decision, candidate_result, tried = outcome
+                    evaluated += tried
+                    if candidate_result.finish_time < best.finish_time:
+                        # Re-apply the winner: the transaction name
+                        # counters were restored by undo, so the sub-ops
+                        # come back under the exact names the evaluation
+                        # saw and the re-contraction reproduces the
+                        # evaluated coarse graph verbatim.
+                        txn = SplitTransaction(
+                            working, op, decision.dim, decision.num_splits
+                        )
+                        txn.apply()
+                        rnd.accept(
+                            decision.dim, decision.num_splits,
+                            sub_ops=[o.name for o in txn.sub_ops],
+                            makespan=candidate_result.finish_time,
+                        )
+                        txn.commit()
+                        split_list.append(decision)
+                        best = candidate_result
+                        plan = contract_graph(
+                            working,
+                            target=self.coarsen_target,
+                            events=self.obs.events,
+                        )
+                        self._emit_commit(decision, best.finish_time)
+                        finish.update(
+                            verdict="accepted", makespan=best.finish_time
+                        )
+                    else:
+                        rnd.reject(best_makespan=candidate_result.finish_time)
+                        rejected += 1
+                        finish.update(
+                            verdict="rejected",
+                            makespan=candidate_result.finish_time,
+                        )
+                        break  # first non-improving CP op stops the search
 
         search.set_super_ops(plan.super_ops)
         fine_result = self._expand_result(plan, best, split_list)
@@ -734,7 +692,6 @@ class OSDPOS:
                 if self.max_candidate_ops is not None:
                     cp_ops = cp_ops[: self.max_candidate_ops]
                 search.set_candidate_ops(cp_ops)
-                tracer = self.obs.tracer
                 for op_index, op_name in enumerate(cp_ops):
                     if op_name not in working:
                         continue  # consumed by an earlier committed split
@@ -742,68 +699,51 @@ class OSDPOS:
                     if not op.is_splittable:
                         continue
                     rnd = search.begin_op(op_name, incumbent=best.finish_time)
-                    self._emit_op_start(
-                        op_name, op_index, len(cp_ops), best.finish_time
-                    )
-                    with tracer.span(
-                        f"evaluate:{op_name}", cat="search.candidates"
-                    ):
+                    with self.obs.events.span(
+                        "search.op", op=op_name, index=op_index + 1,
+                        total=len(cp_ops), incumbent=best.finish_time,
+                    ) as finish:
+                        finish["op"] = op_name
                         outcome = self._evaluate_op(
                             working, op, cache, bounds, best.finish_time,
                             executor, rnd,
                         )
-                    evaluated += outcome.evaluated
-                    pruned += outcome.pruned
-                    if outcome.attempted == 0:
-                        rnd.no_candidates()
-                        self._emit_op_finish(op_name, "no-candidates")
-                        continue  # no structurally possible split
-                    if (
-                        outcome.best is not None
-                        and outcome.best[1].finish_time < best.finish_time
-                    ):
-                        decision, result = outcome.best
-                        txn = SplitTransaction(
-                            working, op, decision.dim, decision.num_splits
-                        )
-                        txn.apply()
-                        rnd.accept(
-                            decision.dim, decision.num_splits,
-                            sub_ops=[o.name for o in txn.sub_ops],
-                            makespan=result.finish_time,
-                        )
-                        cache.invalidate(txn.commit())
-                        split_list.append(decision)
-                        best = result
-                        tracer.instant(
-                            f"commit-split:{op_name}",
-                            cat="search",
-                            args={
-                                "dim": decision.dim,
-                                "num_splits": decision.num_splits,
-                                "finish_time": result.finish_time,
-                            },
-                        )
-                        self._emit_commit(decision, best.finish_time)
-                        self._emit_op_finish(
-                            op_name, "accepted", best.finish_time
-                        )
-                        bounds = _SearchBounds(cache)
-                    else:
-                        rnd.reject(
-                            best_makespan=(
-                                None if outcome.best is None
-                                else outcome.best[1].finish_time
+                        evaluated += outcome.evaluated
+                        pruned += outcome.pruned
+                        if outcome.attempted == 0:
+                            rnd.no_candidates()
+                            finish.update(
+                                verdict="no-candidates", makespan=None
                             )
-                        )
-                        rejected += 1
-                        self._emit_op_finish(
-                            op_name,
-                            "rejected",
+                            continue  # no structurally possible split
+                        op_best = (
                             None if outcome.best is None
-                            else outcome.best[1].finish_time,
+                            else outcome.best[1].finish_time
                         )
-                        break  # first non-improving CP op stops the search
+                        if op_best is not None and op_best < best.finish_time:
+                            decision, result = outcome.best
+                            txn = SplitTransaction(
+                                working, op, decision.dim, decision.num_splits
+                            )
+                            txn.apply()
+                            rnd.accept(
+                                decision.dim, decision.num_splits,
+                                sub_ops=[o.name for o in txn.sub_ops],
+                                makespan=result.finish_time,
+                            )
+                            cache.invalidate(txn.commit())
+                            split_list.append(decision)
+                            best = result
+                            self._emit_commit(decision, best.finish_time)
+                            finish.update(
+                                verdict="accepted", makespan=best.finish_time
+                            )
+                            bounds = _SearchBounds(cache)
+                        else:
+                            rnd.reject(best_makespan=op_best)
+                            rejected += 1
+                            finish.update(verdict="rejected", makespan=op_best)
+                            break  # first non-improving CP op stops the search
         finally:
             if executor is not None:
                 executor.shutdown()
@@ -875,9 +815,11 @@ class OSDPOS:
             if best is None or result.finish_time < best[1].finish_time:
                 best = (txn.decision, result)
         if executor is not None and survivors:
+            engine = copy.copy(self.dpos)
+            engine.obs = None  # restored to NULL_OBS in the worker
             futures = [
                 executor.submit(
-                    _evaluate_candidate, self.dpos, working, op.name, dim, count
+                    _evaluate_candidate, engine, working, op.name, dim, count
                 )
                 for dim, count in survivors
             ]

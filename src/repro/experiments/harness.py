@@ -35,7 +35,6 @@ from ..obs import (
     Observability,
     ensure_dir,
     export_step_trace,
-    export_tracer,
     write_gate_summary,
     write_metrics_json,
 )
@@ -125,15 +124,14 @@ def _trial_obs() -> Optional[Observability]:
     if not _TRACE_DIR and not _PROGRESS:
         return None
     return Observability(
-        provenance=os.environ.get(_PROVENANCE_ENV, "") == "1",
-        events=_PROGRESS,
+        provenance=os.environ.get(_PROVENANCE_ENV, "") == "1"
     )
 
 
 @contextlib.contextmanager
 def _progress_scope(obs: Optional[Observability]) -> Iterator[None]:
     """Attach the TTY renderer to ``obs`` for the duration of one trial."""
-    if obs is None or not _PROGRESS or not obs.events.enabled:
+    if obs is None or not _PROGRESS:
         yield
         return
     from ..obs.progress import ProgressRenderer
@@ -201,7 +199,7 @@ def _export_trial(
     stem = _trial_stem(result)
     base = os.path.join(_TRACE_DIR, stem)
     if obs is not None and obs.enabled:
-        export_tracer(f"{base}.trace.json", obs.tracer)
+        obs.export_chrome_trace(f"{base}.trace.json")
         write_metrics_json(
             f"{base}.metrics.json",
             obs.snapshot(),
@@ -612,7 +610,7 @@ def optimized_session(
                 _TRACE_DIR,
                 f"{model.name}_session_{num_gpus}x{num_servers}",
             )
-            export_tracer(f"{base}.trace.json", obs.tracer)
+            obs.export_chrome_trace(f"{base}.trace.json")
             obs.export_provenance(f"{base}.provenance.json")
             write_metrics_json(
                 f"{base}.metrics.json",

@@ -2,8 +2,10 @@
 
 Two timeline sources share this module:
 
-* a **wall-clock** :class:`~repro.obs.tracer.Tracer` recording of the
-  strategy-search workflow (rounds, profiling, candidate evaluation);
+* a **wall-clock** recording of the strategy-search workflow (rounds,
+  profiling, candidate evaluation), built from the event bus by the
+  :class:`ChromeTraceRecorder` subscriber every enabled ``obs=`` hook
+  attaches;
 * a **simulated-time** :class:`~repro.profiling.trace.StepTrace` of one
   training iteration, converted by :func:`step_trace_events` — one row
   per device (kernel spans plus ready-queue wait spans) and one row per
@@ -21,11 +23,15 @@ way the golden tests and the CI smoke step do.
 from __future__ import annotations
 
 import json
+import threading
 from typing import Dict, List, Sequence, Tuple, Union
 
 from ..profiling.trace import StepTrace
+from .events import Event
 
 _US = 1_000_000.0
+#: The ``pid`` of every wall-clock track (one ``tid`` per emitting thread).
+_PID = "repro"
 
 JsonEvent = Dict[str, object]
 
@@ -44,6 +50,72 @@ def write_trace(path: str, events: Sequence[JsonEvent]) -> str:
     with open(path, "w") as handle:
         json.dump(trace_document(events), handle, indent=1)
     return path
+
+
+# ---------------------------------------------------------------------------
+# Event bus -> chrome events (wall clock)
+# ---------------------------------------------------------------------------
+class ChromeTraceRecorder:
+    """Event-bus subscriber recording a wall-clock Chrome trace.
+
+    A ``<kind>.start`` opens a ``B`` span named ``<kind>`` and the next
+    ``<kind>.finish`` on the same thread closes it with an ``E``; every
+    other event is an ``i`` instant (strided ``*.progress`` samples are
+    skipped).  Subscribers run synchronously on the emitting thread, so
+    each thread gets its own track.  A start that never finished, or a
+    finish with no open start, is exported as an instant, so the trace
+    always balances.
+    """
+
+    def __init__(self) -> None:
+        self._events: List[JsonEvent] = []
+        #: thread id -> the ``B`` records still open on that track.
+        self._open: Dict[int, List[JsonEvent]] = {}
+
+    def __call__(self, event: Event) -> None:
+        kind = event.kind
+        if kind.endswith(".progress"):
+            return
+        tid = threading.get_ident()
+        stack = self._open.get(tid)
+        if stack is None:
+            stack = self._open[tid] = []
+            self._events.append({
+                "name": "thread_name", "ph": "M", "pid": _PID,
+                "tid": tid, "args": {"name": threading.current_thread().name},
+            })
+        name, phase = kind, "i"
+        if kind.endswith(".start"):
+            name, phase = kind[:-6], "B"
+        elif kind.endswith(".finish") and stack and (
+            stack[-1]["name"] == kind[:-7]
+        ):
+            name, phase = kind[:-7], "E"
+            stack.pop()
+        record: JsonEvent = {
+            "name": name, "cat": kind.split(".", 1)[0], "ph": phase,
+            "ts": event.ts * _US, "pid": _PID, "tid": tid,
+            "args": event.data,
+        }
+        if phase == "B":
+            stack.append(record)
+        elif phase == "i":
+            record["s"] = "t"
+        self._events.append(record)
+
+    @property
+    def events(self) -> List[JsonEvent]:
+        """The recorded trace, with still-open spans as instants."""
+        unclosed = {
+            id(record)
+            for stack in list(self._open.values())
+            for record in stack
+        }
+        return [
+            dict(e, name=e["name"] + ".start", ph="i", s="t")
+            if id(e) in unclosed else e
+            for e in self._events
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,49 +1,65 @@
-"""Live telemetry event bus: structured progress events for every run.
+"""Live telemetry event bus: the one emission channel for every run.
 
 While a strategy search or a simulated step executes, the engines emit
 small structured **events** — search round started/finished with the
 best makespan so far, coarsening stages, DPOS placement progress,
-simulator event-heap progress — onto an :class:`EventBus` carried by the
-``obs=`` hook (``Observability(events=True)``).  Consumers are plain
-callbacks::
+simulator event-heap progress — onto the :class:`EventBus` carried by
+every enabled ``obs=`` hook.  Timed layers are bracketed by
+:meth:`EventBus.span`, which emits a ``<kind>.start`` / ``<kind>.finish``
+pair.  Consumers are plain callbacks::
 
     from repro.obs import Observability
 
-    obs = Observability(events=True)
+    obs = Observability()
     obs.events.subscribe(lambda e: print(e.kind, e.data))
     repro.optimize("lenet", single_server(2), obs=obs)
 
-The two built-in consumers are :class:`JsonlEventWriter` (the
-``events.jsonl`` log every recorded run directory carries; see
-:mod:`repro.obs.runs`) and the ``--progress`` TTY renderer
-(:mod:`repro.obs.progress`).
+The built-in consumers are the wall-clock Chrome-trace recorder every
+enabled hook attaches (:class:`~repro.obs.chrome_trace.ChromeTraceRecorder`),
+:class:`JsonlEventWriter` (the ``events.jsonl`` log every recorded run
+directory carries; see :mod:`repro.obs.runs`) and the ``--progress``
+TTY renderer (:mod:`repro.obs.progress`).
 
-The default everywhere is :data:`NULL_EVENTS`, whose ``emit`` is a no-op
-and whose ``enabled`` flag lets hot loops skip even building the event
-payload, so un-observed runs pay essentially nothing (pinned by
-``tests/obs/test_run_overhead.py``).
+The default everywhere is :data:`NULL_EVENTS`, whose ``emit`` and
+``span`` are no-ops and whose ``enabled`` flag lets hot loops skip even
+building the event payload, so un-observed runs pay essentially nothing
+(pinned by ``tests/obs/test_run_overhead.py``).
 
 Event kinds are dotted names.  The stable vocabulary:
 
-====================  ====================================================
-``run.start/finish``  one ``repro.optimize`` run (run id, model, makespan)
-``session.input``     input-DAG choice (data-parallel vs model-parallel)
-``round.*``           calculator rounds (start/finish/activate/rollback)
-``phase``             wall-clock phase sample (profile/search/measure)
-``search.*``          OS-DPOS (start/op/commit/finish, best-so-far)
-``coarsen.*``         graph-contraction stages (merge/pack/finish)
-``dpos.progress``     placement progress (placed/total)
-``sim.*``             simulator (step finish, event-heap progress)
-====================  ====================================================
+==========================  ==============================================
+``run.start/finish``        one ``repro.optimize`` run (id, model, makespan)
+``session.input``           input-DAG choice (data- vs model-parallel)
+``round.start/finish``      span: one calculator round (verdict, best)
+``round.activate/rollback`` a round's activation or rollback
+``phase``                   wall-clock phase sample (profile/search/measure)
+``search.start/finish``     span: one OS-DPOS search (mode, makespan)
+``search.op.start/finish``  span: one critical-path op (verdict, makespan)
+``search.commit``           a committed split (best-so-far makespan)
+``search.warm*``            warm-start replay / fallback
+``search.dpos.*``           span: one DPOS placement run
+``calculator.run.*``        span: the whole pre-training loop
+``calculator.profile.*``    span: one profiling pass
+``calculator.search.*``     span: one round's strategy search
+``coarsen.*``               graph-contraction stages (merge/pack/finish)
+``dpos.progress``           placement progress (placed/total)
+``sim.step.start/finish``   span: one simulated step (makespan, ops)
+``sim.progress``            simulator event-heap progress
+==========================  ==============================================
+
+Every ``<kind>.finish`` emitted by :meth:`EventBus.span` carries
+``seconds`` (the span's wall-clock duration) and, when the body raised,
+``error`` (the exception type's name), after the fields the body set.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 #: Version of the JSONL event-log layout (header line + one event per
 #: line).  Bump when the record shape changes; readers reject unknown
@@ -110,24 +126,11 @@ class EventBus:
     def __init__(self) -> None:
         self._subscribers: List[Subscriber] = []
         self._seq = 0
-        self._epoch = time.time()
+        self._epoch = time.perf_counter()
         # Emission is serialized: ``seq`` must stay strictly increasing
         # and unique even when concurrent service requests share one bus
         # (duplicate seqs would make a persisted log unreadable — see
         # read_event_log's duplicate check).
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Locks don't pickle; process-parallel search workers receive a
-        # copy of the bus (via DPOS.obs) and re-arm a fresh lock on
-        # their side.  Seq/epoch travel so worker-side emissions stay
-        # well-formed, though workers normally run un-subscribed.
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
         self._lock = threading.Lock()
 
     def subscribe(self, subscriber: Subscriber) -> Subscriber:
@@ -148,30 +151,78 @@ class EventBus:
         """Deliver one event to every subscriber, in order."""
         with self._lock:
             self._seq += 1
-            event = Event(self._seq, time.time() - self._epoch, kind, data)
+            event = Event(
+                self._seq, time.perf_counter() - self._epoch, kind, data
+            )
             subscribers = list(self._subscribers)
         for subscriber in subscribers:
             subscriber(event)
+
+    @contextlib.contextmanager
+    def span(self, kind: str, **data: object) -> Iterator[Dict[str, object]]:
+        """Time a block as a ``<kind>.start`` / ``<kind>.finish`` pair.
+
+        ``.start`` carries ``data``; the yielded dict is the ``.finish``
+        payload, which the body may fill.  ``.finish`` is emitted even
+        when the body raises, with ``seconds`` and ``error=<type name>``
+        added.
+        """
+        self.emit(kind + ".start", **data)
+        started = time.perf_counter()
+        fields: Dict[str, object] = {}
+        try:
+            yield fields
+        except BaseException as exc:
+            fields["error"] = type(exc).__name__
+            raise
+        finally:
+            fields["seconds"] = time.perf_counter() - started
+            self.emit(kind + ".finish", **fields)
 
     @property
     def num_subscribers(self) -> int:
         return len(self._subscribers)
 
 
+class _NullFields(dict):
+    """A ``.finish`` payload that drops every write (disabled spans)."""
+
+    __slots__ = ()
+
+    def __setitem__(self, key: str, value: object) -> None:
+        pass
+
+    def update(self, *args: object, **kwargs: object) -> None:
+        pass
+
+
+class _NullSpan:
+    __slots__ = ()
+
+    def __enter__(self) -> Dict[str, object]:
+        return _NULL_FIELDS
+
+    def __exit__(self, *exc: object) -> None:
+        pass
+
+
+_NULL_FIELDS = _NullFields()
+_NULL_SPAN = _NullSpan()
+
+
 class NullEventBus(EventBus):
     """Do-nothing bus: the zero-cost default on every ``obs=`` hook.
 
     ``subscribe`` raises — attaching a consumer to a bus that will never
-    emit is always a caller bug (enable events first:
-    ``Observability(events=True)``).
+    emit is always a caller bug (use an enabled hook: ``Observability()``).
     """
 
     enabled = False
 
     def subscribe(self, subscriber: Subscriber) -> Subscriber:  # type: ignore[override]
         raise RuntimeError(
-            "cannot subscribe to the disabled event bus; construct the "
-            "hook with Observability(events=True)"
+            "cannot subscribe to the disabled event bus; use an enabled "
+            "hook, Observability()"
         )
 
     def unsubscribe(self, subscriber: Subscriber) -> None:  # type: ignore[override]
@@ -179,6 +230,9 @@ class NullEventBus(EventBus):
 
     def emit(self, kind: str, **data: object) -> None:  # type: ignore[override]
         pass
+
+    def span(self, kind: str, **data: object) -> _NullSpan:  # type: ignore[override]
+        return _NULL_SPAN
 
 
 #: Shared disabled bus (the ``obs.events`` default).

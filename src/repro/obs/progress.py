@@ -12,7 +12,7 @@ Attach one by hand::
     from repro.obs import Observability
     from repro.obs.progress import ProgressRenderer
 
-    obs = Observability(events=True)
+    obs = Observability()
     renderer = ProgressRenderer()
     obs.events.subscribe(renderer)
     ...

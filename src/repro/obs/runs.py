@@ -422,7 +422,7 @@ class RunRecorder:
         """Link an artifact already written into the run directory.
 
         ``path`` may be None (an exporter declined to write — e.g. an
-        empty tracer); the artifact is then simply not linked.
+        empty trace); the artifact is then simply not linked.
         """
         if path is None:
             return None

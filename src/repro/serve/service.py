@@ -1042,6 +1042,55 @@ async def handle_connection(
 # Plain-HTTP observability listener: GET /metrics, /healthz, /readyz.
 # ----------------------------------------------------------------------
 
+def _http_response(status: str, content_type: str, body: str) -> bytes:
+    payload = body.encode()
+    return (
+        f"HTTP/1.0 {status}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(payload)}\r\n"
+        "Connection: close\r\n"
+        "\r\n"
+    ).encode("latin-1") + payload
+
+
+#: How much of an over-long request is read and discarded after the 431,
+#: and for how long, before the connection is closed regardless.
+_DISCARD_BYTES = 1 << 20
+_DISCARD_SECONDS = 1.0
+
+
+async def _reply_line_too_long(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """Answer 431, then half-close and discard the rest of the request.
+
+    Closing a socket with unread input makes the kernel reset the
+    connection, which can destroy the 431 before the client reads it; so
+    the client's remaining bytes (bounded in size and time) are read
+    first and the caller closes after that.
+    """
+    writer.write(_http_response(
+        "431 Request Header Fields Too Large", "text/plain",
+        "request line or header line too long\n",
+    ))
+    await writer.drain()
+    if writer.can_write_eof():
+        writer.write_eof()
+
+    async def discard() -> None:
+        left = _DISCARD_BYTES
+        while left > 0:
+            chunk = await reader.read(min(left, 65536))
+            if not chunk:
+                return
+            left -= len(chunk)
+
+    try:
+        await asyncio.wait_for(discard(), _DISCARD_SECONDS)
+    except asyncio.TimeoutError:
+        pass
+
+
 async def _handle_http_scrape(
     service: StrategyService,
     reader: asyncio.StreamReader,
@@ -1051,22 +1100,26 @@ async def _handle_http_scrape(
 
     Deliberately minimal — request line + headers in, one response out —
     so the service stays dependency-free.  Anything but a GET for a
-    known path gets a 404/405.
+    known path gets a 404/405; a request or header line longer than the
+    stream limit (64 KiB) gets a 431.
     """
     from ..obs.prometheus import CONTENT_TYPE
 
     try:
-        request_line = await reader.readline()
         try:
-            method, path, _ = request_line.decode("latin-1").split(None, 2)
+            request_line = await reader.readline()
+            fields = request_line.decode("latin-1").split(None, 2)
+            if len(fields) == 3:
+                # Drain headers (ignored) until the blank line.
+                while await reader.readline() not in (b"\r\n", b"\n", b""):
+                    pass
         except ValueError:
-            writer.close()
+            # A request or header line overran the stream limit.
+            await _reply_line_too_long(reader, writer)
             return
-        # Drain headers (ignored) until the blank line.
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
+        if len(fields) != 3:
+            return  # not an HTTP request line
+        method, path, _ = fields
         path = path.split("?", 1)[0]
         if method.upper() != "GET":
             status, content_type, body = (
@@ -1091,16 +1144,7 @@ async def _handle_http_scrape(
                 "404 Not Found", "text/plain",
                 "try /metrics, /healthz, or /readyz\n",
             )
-        payload = body.encode()
-        writer.write(
-            (
-                f"HTTP/1.0 {status}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                "Connection: close\r\n"
-                "\r\n"
-            ).encode("latin-1") + payload
-        )
+        writer.write(_http_response(status, content_type, body))
         await writer.drain()
     except (ConnectionError, asyncio.IncompleteReadError):
         pass  # scraper went away mid-request; nothing to answer

@@ -206,11 +206,10 @@ class ExecutionSimulator:
         if policy not in (FIFO, PRIORITY):
             raise SimulationError(f"unknown scheduling policy {policy!r}")
         obs = self.obs
-        with obs.tracer.span(
-            "sim.step", cat="sim", args={"policy": policy, "graph": self.graph.name}
-        ):
-            state = _StepState(self, placement, order, policy)
-            trace = state.run()
+        with obs.events.span(
+            "sim.step", policy=policy, graph=self.graph.name
+        ) as finish:
+            trace = _StepState(self, placement, order, policy).run(finish)
         if obs.enabled:
             metrics = obs.metrics
             metrics.counter("sim.steps").inc()
@@ -299,7 +298,10 @@ class _StepState:
         self.completed = 0
 
     # ------------------------------------------------------------------
-    def run(self) -> StepTrace:
+    def run(self, finish: Dict[str, object]) -> StepTrace:
+        """Drain the event heap; ``finish`` (the ``sim.step.finish``
+        payload) gets the graph, makespan and op count before a deadlock
+        is raised, so a failed step still reports how far it got."""
         for op in self.plan.ops:
             if self.deps_remaining[op.name] == 0:
                 self._enqueue_ready(op, 0.0)
@@ -336,13 +338,9 @@ class _StepState:
             else:
                 self._on_transfer_finish(payload, time)  # type: ignore[arg-type]
 
-        if progress_stride:
-            telemetry.emit(
-                "sim.step.finish",
-                graph=self.graph.name,
-                makespan=makespan,
-                ops=self.completed,
-            )
+        finish.update(
+            graph=self.graph.name, makespan=makespan, ops=self.completed
+        )
         if self.completed != self.graph.num_ops:
             stuck = [
                 name for name, n in self.deps_remaining.items() if n > 0

@@ -74,24 +74,25 @@ def test_null_bus_is_disabled_and_subscribe_raises():
     assert isinstance(NULL_EVENTS, NullEventBus)
     NULL_EVENTS.emit("anything", payload=1)  # no-op
     NULL_EVENTS.unsubscribe(lambda e: None)  # no-op
-    with pytest.raises(RuntimeError, match="events=True"):
+    with pytest.raises(RuntimeError, match="disabled event bus"):
         NULL_EVENTS.subscribe(lambda e: None)
 
 
 def test_get_events_normalizes():
     assert get_events(None) is NULL_EVENTS
     assert get_events(object()) is NULL_EVENTS
-    obs = Observability(events=True)
+    obs = Observability()
     assert get_events(obs) is obs.events
 
 
 def test_observability_events_flag():
-    assert Observability().events is NULL_EVENTS
-    assert Observability(events=True).events.enabled
-    bus = EventBus()
-    assert Observability(events=bus).events is bus
-    # A disabled hook never carries a live bus.
-    assert Observability(enabled=False, events=True).events is NULL_EVENTS
+    # An enabled hook always carries its own live bus...
+    first, second = Observability(), Observability()
+    assert isinstance(first.events, EventBus) and first.events.enabled
+    assert first.events is not second.events
+    assert first.events is not NULL_EVENTS
+    # ...and a disabled one never does.
+    assert Observability(enabled=False).events is NULL_EVENTS
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +180,7 @@ def test_reader_rejects_duplicate_seq_and_malformed(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_optimize_emits_stable_vocabulary():
-    obs = Observability(events=True)
+    obs = Observability()
     seen = []
     obs.events.subscribe(seen.append)
     repro.optimize("lenet", single_server(2), obs=obs)
@@ -198,3 +199,10 @@ def test_optimize_emits_stable_vocabulary():
     assert {"profile", "search", "measure"} <= phases
     finish = [e for e in seen if e.kind == "run.finish"][-1]
     assert finish.data["makespan"] > 0
+
+
+def test_observability_takes_three_settings():
+    import inspect
+
+    parameters = list(inspect.signature(Observability.__init__).parameters)
+    assert parameters == ["self", "enabled", "metrics", "provenance"]

@@ -50,7 +50,7 @@ def test_events_do_not_change_the_strategy_and_stay_cheap():
 
     baseline, baseline_seconds = optimize_once(None)
 
-    obs = Observability(events=True)
+    obs = Observability()
     counted = [0]
 
     def count(event):

@@ -5,7 +5,9 @@
 * a message that is valid JSON but not an object gets a typed error;
 * ``submit`` and the front-end read ``timeout`` through one parser and
   return the same typed error for the same bad value;
-* the front-end's backstop timeout is counted in ``stats.timeouts``.
+* the front-end's backstop timeout is counted in ``stats.timeouts``;
+* the HTTP listener answers an over-long request or header line with a
+  ``431`` and closes, instead of dropping the connection.
 """
 
 import asyncio
@@ -49,24 +51,35 @@ def _request(**overrides):
 class _Server:
     """serve_forever on a background thread."""
 
-    def __init__(self, service):
+    def __init__(self, service, metrics=False):
         self.service = service
         self.addr = None
+        self.metrics_addr = None
+        self._metrics = metrics
         self._ready = threading.Event()
+        self._metrics_ready = threading.Event()
         self.thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self):
         asyncio.run(serve_forever(
             self.service, "127.0.0.1", 0, ready=self._on_ready,
+            metrics_port=0 if self._metrics else None,
+            metrics_ready=self._on_metrics_ready,
         ))
 
     def _on_ready(self, host, port):
         self.addr = (host, port)
         self._ready.set()
 
+    def _on_metrics_ready(self, host, port):
+        self.metrics_addr = (host, port)
+        self._metrics_ready.set()
+
     def __enter__(self):
         self.thread.start()
         assert self._ready.wait(30)
+        if self._metrics:
+            assert self._metrics_ready.wait(30)
         return self
 
     def __exit__(self, *exc):
@@ -215,3 +228,44 @@ class TestBackstopTimeout:
                     break
                 threading.Event().wait(0.01)
             assert service.stats.searches == 1
+
+
+class TestHttpLineLimit:
+    """The scrape listener reads with the same 64 KiB stream limit."""
+
+    def _scrape(self, addr, request: bytes) -> bytes:
+        sock = socket.create_connection(addr, timeout=30)
+        try:
+            sock.sendall(request)
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        finally:
+            sock.close()
+        return b"".join(chunks)
+
+    @pytest.mark.parametrize("where", ["request-line", "header-line"])
+    def test_over_long_line_gets_a_431_and_a_close(
+        self, tmp_path, caplog, where
+    ):
+        # Well past the 64 KiB limit, so bytes are still unread when the
+        # listener answers: it must drain them rather than reset.
+        pad = b"x" * 300_000
+        if where == "request-line":
+            request = b"GET /" + pad + b" HTTP/1.0\r\n\r\n"
+        else:
+            request = b"GET /metrics HTTP/1.0\r\nX-Pad: " + pad + b"\r\n\r\n"
+        with _Server(_service(tmp_path), metrics=True) as srv:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                reply = self._scrape(srv.metrics_addr, request)
+            status_line = reply.split(b"\r\n", 1)[0]
+            assert status_line == b"HTTP/1.0 431 Request Header Fields Too Large"
+            assert not [
+                r for r in caplog.records if "Unhandled" in r.getMessage()
+            ]
+            # The listener keeps serving.
+            ok = self._scrape(srv.metrics_addr, b"GET /healthz HTTP/1.0\r\n\r\n")
+            assert ok.startswith(b"HTTP/1.0 200 OK")

@@ -3,7 +3,9 @@
 The reference engines the equivalence suites compare against (the
 copy-per-candidate OS-DPOS search, the seed step simulator, the
 linear-scan DPOS) are test code.  The package must not import them,
-export them, or keep a mode or shim that selects them.
+export them, or keep a mode or shim that selects them.  Nor does it
+keep removed surface: the wall-clock tracer is gone (spans ride the
+event bus).
 """
 
 import ast
@@ -53,7 +55,12 @@ def test_no_reference_engine_exported(module):
 
 
 @pytest.mark.parametrize(
-    "needle", ["naive=", "ReferenceSimulator", "DeprecationWarning"]
+    "needle",
+    [
+        "naive=", "ReferenceSimulator", "DeprecationWarning",
+        # The event bus is the one emission channel: no second tracer.
+        "tracer.span", "tracer.instant", "NULL_TRACER",
+    ],
 )
 def test_no_removed_surface_in_sources(needle):
     offenders = [
@@ -62,3 +69,12 @@ def test_no_removed_surface_in_sources(needle):
         if needle in path.read_text()
     ]
     assert offenders == []
+
+
+def test_obs_exports_no_tracer():
+    import repro.obs
+
+    exported = set(dir(repro.obs)) | set(repro.obs.__all__)
+    assert not exported & {
+        "Tracer", "NullTracer", "NULL_TRACER", "export_tracer", "tracer",
+    }

@@ -74,7 +74,10 @@ class TestOptimize:
         )
         assert isinstance(result.metrics, MetricsSnapshot)
         assert result.metrics.get("search.runs", 0) >= 1
-        assert len(obs.tracer.events) > 0
+        names = {
+            e["name"] for e in obs.trace.events if e["ph"] in ("B", "E")
+        }
+        assert {"search.dpos", "sim.step"} <= names
 
     def test_unknown_model_name_raises(self):
         with pytest.raises(KeyError):
